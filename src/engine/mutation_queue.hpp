@@ -34,6 +34,7 @@
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "engine/epoch.hpp"
@@ -114,9 +115,7 @@ class MutationQueue {
     pending_pos_[t] = inserts_.size();
     inserts_.push_back(InsertOp{t, u, v, w});
     ++live_inserts_;
-    uint64_t k = endpoint_key(u, v);
-    by_endpoints_[k].push_back(t);
-    key_of_[t] = k;
+    ledger_add(t, u, v);
     if (stats_) stats_->inserts_enqueued.fetch_add(1, std::memory_order_relaxed);
     return t;
   }
@@ -146,38 +145,20 @@ class MutationQueue {
     return true;
   }
 
-  // ---- recovery plumbing (persist/persist.hpp) ----
-  // Replay re-enqueues WAL operations with their ORIGINAL tickets, so
-  // ticket identity — and the endpoint ledger's most-recent-copy
-  // resolution — survives a crash. None of these bump enqueue stats:
-  // replayed traffic already counted when it first ran.
-
-  /// Re-enqueue an insertion under its original ticket. The ticket
-  /// counter is raised past `t`, so post-recovery insertions never
-  /// collide with history.
-  void restore_insert(ticket_t t, vertex_id u, vertex_id v, double w) {
+  /// Fold one historical batch into the ledger as if its ops had been
+  /// enqueued and drained (SldService::replay): inserts join the
+  /// endpoint ledger under their ORIGINAL tickets, erases leave it, and
+  /// the ticket counter rises past every replayed ticket and to at
+  /// least `floor` (a checkpoint's counter, so erased-then-forgotten
+  /// tickets are never reissued). Nothing is queued and no enqueue
+  /// stats move: replayed traffic already counted when it first ran.
+  void replay(const Drained& batch, ticket_t floor) {
     std::lock_guard<std::mutex> lk(mu_);
-    if (t >= next_ticket_) next_ticket_ = t + 1;
-    pending_pos_[t] = inserts_.size();
-    inserts_.push_back(InsertOp{t, u, v, w});
-    ++live_inserts_;
-    uint64_t k = endpoint_key(u, v);
-    by_endpoints_[k].push_back(t);
-    key_of_[t] = k;
-  }
-
-  /// Re-enqueue an erase by original ticket (replay: the ticket was
-  /// applied by an earlier replayed epoch, so this never annihilates).
-  void restore_erase(ticket_t t) {
-    std::lock_guard<std::mutex> lk(mu_);
-    erase_locked(t, /*count=*/false);
-  }
-
-  /// Raise the ticket counter to at least `floor` (recovery restores
-  /// the checkpoint's counter so erased-then-forgotten tickets are
-  /// never reissued).
-  void restore_ticket_floor(ticket_t floor) {
-    std::lock_guard<std::mutex> lk(mu_);
+    for (const InsertOp& op : batch.inserts) {
+      if (op.ticket >= next_ticket_) next_ticket_ = op.ticket + 1;
+      ledger_add(op.ticket, op.u, op.v);
+    }
+    for (const EraseOp& op : batch.erases) ledger_remove(op.ticket);
     if (floor > next_ticket_) next_ticket_ = floor;
   }
 
@@ -215,33 +196,44 @@ class MutationQueue {
     return (static_cast<uint64_t>(u) << 32) | v;
   }
 
-  bool erase_locked(ticket_t t, bool count = true) {
-    if (count && stats_)
-      stats_->erases_enqueued.fetch_add(1, std::memory_order_relaxed);
+  void ledger_add(ticket_t t, vertex_id u, vertex_id v) {
+    uint64_t k = endpoint_key(u, v);
+    by_endpoints_[k].push_back(t);
+    key_of_[t] = k;
+  }
+
+  /// Drop `t` from the endpoint ledger; returns the endpoints it was
+  /// filed under (a kNoVertex pair when the ledger never saw it).
+  std::pair<vertex_id, vertex_id> ledger_remove(ticket_t t) {
+    auto kit = key_of_.find(t);
+    if (kit == key_of_.end()) return {kNoVertex, kNoVertex};
+    const uint64_t k = kit->second;
+    auto bucket = by_endpoints_.find(k);
+    auto& tickets = bucket->second;
+    tickets.erase(std::find(tickets.begin(), tickets.end(), t));
+    if (tickets.empty()) by_endpoints_.erase(bucket);
+    key_of_.erase(kit);
+    return {static_cast<vertex_id>(k >> 32),
+            static_cast<vertex_id>(k & 0xffffffffu)};
+  }
+
+  bool erase_locked(ticket_t t) {
+    if (stats_) stats_->erases_enqueued.fetch_add(1, std::memory_order_relaxed);
     // Capture the ledger's endpoints while dropping the entry (one
     // lookup for both): a queued erase of an applied ticket carries
     // them into the drained batch.
-    vertex_id eu = kNoVertex, ev = kNoVertex;
-    if (auto kit = key_of_.find(t); kit != key_of_.end()) {
-      eu = static_cast<vertex_id>(kit->second >> 32);
-      ev = static_cast<vertex_id>(kit->second & 0xffffffffu);
-      auto bucket = by_endpoints_.find(kit->second);
-      auto& tickets = bucket->second;
-      tickets.erase(std::find(tickets.begin(), tickets.end(), t));
-      if (tickets.empty()) by_endpoints_.erase(bucket);
-      key_of_.erase(kit);
-    }
+    auto [eu, ev] = ledger_remove(t);
     auto it = pending_pos_.find(t);
     if (it != pending_pos_.end()) {
       inserts_[it->second].ticket = kNoTicket;  // tombstone
       pending_pos_.erase(it);
       --live_inserts_;
-      if (count && stats_)
+      if (stats_)
         stats_->coalesced_pairs.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     if (!erase_set_.insert(t).second) {
-      if (count && stats_)
+      if (stats_)
         stats_->duplicate_erases.fetch_add(1, std::memory_order_relaxed);
       return false;
     }

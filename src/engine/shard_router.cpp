@@ -214,19 +214,9 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
   snap->trace_ = seed;
 
   if (capture_edges) {
-    for (size_t k = 0; k < shards_.size(); ++k) {
-      vertex_id base = map_.base(static_cast<int>(k));
-      for (const WeightedEdge& e : shards_[k]->all_edges()) {
-        snap->edges_.push_back(
-            WeightedEdge{e.u + base, e.v + base, e.weight,
-                         static_cast<edge_id>(snap->edges_.size())});
-      }
-    }
-    for (const CrossSlot& s : cross_) {
-      if (s.alive)
-        snap->edges_.push_back(WeightedEdge{
-            s.u, s.v, s.w, static_cast<edge_id>(snap->edges_.size())});
-    }
+    for (const MutationQueue::InsertOp& op : live_edges())
+      snap->edges_.push_back(WeightedEdge{
+          op.u, op.v, op.w, static_cast<edge_id>(snap->edges_.size())});
   }
 
   if (stats_) {
@@ -249,6 +239,23 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
     stats_->epochs_published.fetch_add(1, std::memory_order_relaxed);
   }
   return snap;
+}
+
+std::vector<MutationQueue::InsertOp> ShardRouter::live_edges() const {
+  std::vector<MutationQueue::InsertOp> out;
+  for (ticket_t t = 0; t < locs_.size(); ++t) {
+    const Loc& l = locs_[t];
+    if (l.kind == Loc::kShard) {
+      // Shard-local ids: translate back to the global vertex space.
+      const WeightedEdge e = shards_[l.shard]->edge(l.id);
+      const vertex_id base = map_.base(l.shard);
+      out.push_back({t, e.u + base, e.v + base, e.weight});
+    } else if (l.kind == Loc::kCross) {
+      const CrossSlot& s = cross_[l.id];
+      out.push_back({t, s.u, s.v, s.w});
+    }
+  }
+  return out;
 }
 
 }  // namespace dynsld::engine

@@ -76,6 +76,14 @@ class ShardRouter {
       uint64_t epoch, const EngineSnapshot* prev, bool capture_edges,
       obs::EpochTrace seed = {});
 
+  /// Every live edge as the insertion that created it — original
+  /// ticket, global endpoints as inserted, exact weight — in ascending
+  /// ticket order, read straight off the ticket table. This IS the
+  /// live-edge table: a checkpoint serializes it (replaying it as one
+  /// batch rebuilds the engine, endpoint ledger included) and
+  /// capture_edges copies it into the snapshot. O(tickets issued).
+  std::vector<MutationQueue::InsertOp> live_edges() const;
+
  private:
   struct Loc {
     enum Kind : uint8_t { kDead = 0, kShard, kCross };

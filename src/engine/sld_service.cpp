@@ -88,70 +88,93 @@ bool SldService::erase(vertex_id u, vertex_id v) {
 }
 
 uint64_t SldService::flush() {
-  EpochManager::Snap published;
-  uint64_t e;
-  {
-    std::lock_guard<std::mutex> lk(flush_mu_);
-    // Spans are tagged with the epoch this flush will publish if the
-    // queue turns out non-empty (next_epoch_ is stable under the lock).
-    const uint64_t e_tag = next_epoch_;
-    obs::ScopedSpan total_span(&obs_->trace, "flush.total", e_tag,
-                               obs_->flush_total);
-    obs::ScopedSpan drain_span(&obs_->trace, "flush.drain", e_tag,
-                               obs_->flush_drain);
-    MutationQueue::Drained batch = queue_.drain();
-    if (batch.empty()) {
-      // Nothing flushed: no epoch, no spans (an idle-timer wakeup is
-      // not a pipeline stage). But an interval fsync policy still owes
-      // its deadline: a burst followed by silence must not leave the
-      // WAL tail unsynced past the configured bound.
-      if (persist_) persist_->sync_if_due();
-      drain_span.cancel();
-      total_span.cancel();
-      return epochs_.cur_epoch();
-    }
-    uint64_t drain_ns = drain_span.stop();
+  std::unique_lock<std::mutex> lk(flush_mu_);
+  // Spans are tagged with the epoch this flush will publish if the
+  // queue turns out non-empty (next_epoch_ is stable under the lock).
+  const uint64_t e = next_epoch_;
+  obs::ScopedSpan total_span(&obs_->trace, "flush.total", e,
+                             obs_->flush_total);
+  obs::ScopedSpan drain_span(&obs_->trace, "flush.drain", e,
+                             obs_->flush_drain);
+  MutationQueue::Drained batch = queue_.drain();
+  if (batch.empty()) {
+    // Nothing flushed: no epoch, no spans (an idle-timer wakeup is not
+    // a pipeline stage). But an interval fsync policy still owes its
+    // deadline: a burst followed by silence must not leave the WAL
+    // tail unsynced past the configured bound.
+    if (persist_) persist_->sync_if_due();
+    drain_span.cancel();
+    total_span.cancel();
+    return epochs_.cur_epoch();
+  }
+  obs::EpochTrace seed;
+  seed.drain_ns = drain_span.stop();
+  // Write-ahead: the batch is durable (per the fsync policy) before any
+  // of it mutates the shards, so a crash at any later point replays to
+  // exactly this epoch.
+  if (persist_) persist_->log_batch(e, batch);
+  // Replication tee: the same record bytes the WAL got, handed to the
+  // in-memory feed under the same lock (net/replication.hpp).
+  if (tap_.on_batch)
+    tap_.on_batch(e, persist::WalWriter::encode_record(e, batch));
+  return commit(lk, e, batch, seed, &total_span);
+}
+
+SldService::ReplayResult SldService::replay(uint64_t epoch,
+                                            const MutationQueue::Drained& batch,
+                                            ticket_t ticket_floor) {
+  std::unique_lock<std::mutex> lk(flush_mu_);
+  const uint64_t cur = next_epoch_ - 1;
+  if (ticket_floor == kNoTicket) {
+    // A WAL record: strictly the next epoch.
+    if (epoch <= cur) return ReplayResult::kCovered;
+    if (epoch != cur + 1) return ReplayResult::kRefused;
+  } else {
+    // A checkpoint image replaces history wholesale, so it may only
+    // land on an engine that has none.
+    if (cur != 0) return ReplayResult::kRefused;
+    if (epoch == 0) return ReplayResult::kCovered;
+  }
+  queue_.replay(batch, ticket_floor == kNoTicket ? 0 : ticket_floor);
+  commit(lk, epoch, batch, obs::EpochTrace{});
+  return ReplayResult::kApplied;
+}
+
+uint64_t SldService::commit(std::unique_lock<std::mutex>& lk, uint64_t e,
+                            const MutationQueue::Drained& batch,
+                            obs::EpochTrace seed, obs::ScopedSpan* total) {
+  if (!batch.empty()) {
     stats_->flushes.fetch_add(1, std::memory_order_relaxed);
     stats_->ops_applied.fetch_add(batch.size(), std::memory_order_relaxed);
     stats_->bump_max_batch(batch.size());
-    // Write-ahead: the batch is durable (per the fsync policy) before
-    // any of it mutates the shards, so a crash at any later point
-    // replays to exactly this epoch.
-    if (persist_) persist_->log_batch(e_tag, batch);
-    // Replication tee: the same record bytes the WAL got, handed to the
-    // in-memory feed under the same lock (net/replication.hpp).
-    if (tap_.on_batch)
-      tap_.on_batch(e_tag, persist::WalWriter::encode_record(e_tag, batch));
-    obs::ScopedSpan apply_span(&obs_->trace, "flush.apply", e_tag,
-                               obs_->flush_apply);
-    router_.apply(batch);
-    uint64_t apply_ns = apply_span.stop();
-    EpochManager::Snap prev = epochs_.acquire();  // keep alive through build
-    e = next_epoch_++;
-    // Seed the epoch's trace with the stages the service timed; the
-    // router fills the build stages and freezes it into the snapshot.
-    obs::EpochTrace seed;
-    seed.ops = batch.size();
-    seed.drain_ns = drain_ns;
-    seed.apply_ns = apply_ns;
-    published =
-        router_.build_snapshot(e, prev.get(), cfg_.capture_edges, seed);
-    obs::ScopedSpan publish_span(&obs_->trace, "flush.publish", e,
-                                 obs_->flush_publish);
-    epochs_.publish(published);
-    publish_span.stop();
-    // Checkpoint cadence (still under the flush lock: the live-edge
-    // table and the published snapshot must agree).
-    if (persist_) {
-      const uint64_t ck_before = persist_->last_checkpoint();
-      persist_->on_publish(*published, queue_.next_ticket());
-      const uint64_t ck_after = persist_->last_checkpoint();
-      // A cadence checkpoint landed: tell the replication feed so it
-      // can prune records the checkpoint now covers.
-      if (ck_after != ck_before && tap_.on_checkpoint)
-        tap_.on_checkpoint(ck_after);
-    }
   }
+  obs::ScopedSpan apply_span(&obs_->trace, "flush.apply", e,
+                             obs_->flush_apply);
+  router_.apply(batch);
+  seed.apply_ns = apply_span.stop();
+  seed.ops = batch.size();
+  EpochManager::Snap prev = epochs_.acquire();  // keep alive through build
+  next_epoch_ = e + 1;
+  // The router fills the build stages and freezes the trace into the
+  // snapshot.
+  EpochManager::Snap published =
+      router_.build_snapshot(e, prev.get(), cfg_.capture_edges, seed);
+  obs::ScopedSpan publish_span(&obs_->trace, "flush.publish", e,
+                               obs_->flush_publish);
+  epochs_.publish(published);
+  publish_span.stop();
+  // Checkpoint cadence, still under the flush lock so the router's
+  // live-edge table and the published snapshot agree. The table is
+  // enumerated only on epochs where a checkpoint is due; when one
+  // lands, the replication feed hears of it so it can prune the
+  // records it now covers.
+  if (persist_ && persist_->checkpoint_due(e) &&
+      persist_->checkpoint(*published, queue_.next_ticket(),
+                           router_.live_edges()) &&
+      tap_.on_checkpoint)
+    tap_.on_checkpoint(e);
+  if (total) total->stop();
+  lk.unlock();
   // Notify subscribers outside the flush lock so callbacks may read the
   // service (snapshot(), view(), even enqueue updates — not flush()).
   // Concurrent flushes can therefore notify out of order; subscribers
@@ -163,34 +186,6 @@ uint64_t SldService::flush() {
   if (fired)
     stats_->subs_notified.fetch_add(fired, std::memory_order_relaxed);
   return e;
-}
-
-uint64_t SldService::restore_publish(uint64_t epoch) {
-  EpochManager::Snap published;
-  {
-    std::lock_guard<std::mutex> lk(flush_mu_);
-    MutationQueue::Drained batch = queue_.drain();
-    if (!batch.empty()) {
-      stats_->flushes.fetch_add(1, std::memory_order_relaxed);
-      stats_->ops_applied.fetch_add(batch.size(), std::memory_order_relaxed);
-      stats_->bump_max_batch(batch.size());
-      router_.apply(batch);
-    }
-    EpochManager::Snap prev = epochs_.acquire();
-    // Force the epoch counter: replay republishes the exact historical
-    // sequence, and post-recovery flushes continue right after it.
-    next_epoch_ = epoch;
-    uint64_t e = next_epoch_++;
-    obs::EpochTrace seed;
-    seed.ops = batch.size();
-    published =
-        router_.build_snapshot(e, prev.get(), cfg_.capture_edges, seed);
-    epochs_.publish(published);
-    // No persist hooks: recovery attaches persistence after replay, so
-    // nothing here can re-log or re-checkpoint.
-  }
-  subs_.notify(published);
-  return epoch;
 }
 
 void SldService::set_epoch_tap(EpochTap tap) {

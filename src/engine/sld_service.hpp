@@ -242,26 +242,28 @@ class SldService {
   /// what persistence components take as their accounting sink.
   std::shared_ptr<EngineObs> obs_shared() const { return obs_; }
 
-  // ---- recovery plumbing (persist/persist.hpp drives these) ----
-  // The restore_* surface re-enacts history through the NORMAL
-  // mutation/flush path — recovery produces a real, mutable engine
-  // whose state is bit-for-bit the pre-crash one, not a frozen replica.
+  // ---- durable history (persist::recover() and net::Replica) ----
 
-  /// Re-enqueue an insertion under its original ticket (no stats).
-  void restore_insert(ticket_t t, vertex_id u, vertex_id v, double w) {
-    queue_.restore_insert(t, u, v, w);
-  }
-  /// Re-enqueue an erase by original ticket (no stats).
-  void restore_erase(ticket_t t) { queue_.restore_erase(t); }
-  /// Raise the ticket counter to the checkpoint's floor.
-  void restore_ticket_floor(ticket_t floor) {
-    queue_.restore_ticket_floor(floor);
-  }
-  /// Drain + apply + publish exactly like flush(), but FORCE the
-  /// published epoch to `epoch` and publish even when the queue is
-  /// empty (replay must reproduce empty epochs too). Never logs to the
-  /// WAL — recovery attaches persistence only after replay completes.
-  uint64_t restore_publish(uint64_t epoch);
+  /// What replay() did with one unit of history.
+  enum class ReplayResult : uint8_t {
+    kApplied,  // published as the requested epoch
+    kCovered,  // the engine already holds that epoch: skipped
+    kRefused,  // an epoch gap, or a checkpoint onto a non-fresh engine
+  };
+
+  /// The one entry that re-enacts durable history (recovery and
+  /// replicas). A WAL record is one drained batch (`ticket_floor` left
+  /// at kNoTicket); a checkpoint is a batch of every live insert plus
+  /// its ticket counter as `ticket_floor`. The batch joins the endpoint
+  /// ledger under its ORIGINAL tickets, then applies and publishes as
+  /// `epoch` through flush()'s own core. A record must be the next
+  /// epoch (covered epochs are skipped, gaps refused); a checkpoint
+  /// only bootstraps an engine still at epoch 0. Skipped and refused
+  /// calls change nothing; enqueue counters never move, and nothing is
+  /// logged or tapped.
+  ReplayResult replay(uint64_t epoch, const MutationQueue::Drained& batch,
+                      ticket_t ticket_floor = kNoTicket);
+
   /// Hand the service its persistence plane (WAL hooks engage on the
   /// next flush; the broker gains the checkpoint-rehydration tier).
   /// Called by the constructor for fresh persisted services and by
@@ -276,8 +278,8 @@ class SldService {
   /// exactly the WAL's byte framing; on_checkpoint fires (same lock)
   /// when a cadence checkpoint lands, with its epoch. Callbacks must be
   /// cheap and must not call flush() or submit(). Either hook may be
-  /// null; replace with {} to detach. Recovery's restore_publish never
-  /// fires the tap (a replica bootstraps from disk, not from replay).
+  /// null; replace with {} to detach. replay() never fires the tap (a
+  /// replica bootstraps from the directory, not from another replay).
   struct EpochTap {
     /// Fired per published epoch with the exact WAL record bytes.
     std::function<void(uint64_t epoch, const std::string& record)> on_batch;
@@ -293,6 +295,13 @@ class SldService {
  private:
   void writer_loop();
   void nudge_writer();
+  /// The apply -> build -> publish -> notify core of flush() and
+  /// replay(): publishes `batch` as epoch `e` (plus the checkpoint
+  /// cadence), stops `total`, releases `lk` (holding flush_mu_), then
+  /// notifies subscribers. `seed` carries the stages the caller timed.
+  uint64_t commit(std::unique_lock<std::mutex>& lk, uint64_t e,
+                  const MutationQueue::Drained& batch, obs::EpochTrace seed,
+                  obs::ScopedSpan* total = nullptr);
   /// Submit-and-wait on a one-element Latest request (the convenience
   /// wrappers' shared path).
   QueryResult run_one(Query q) const;

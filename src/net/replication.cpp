@@ -40,59 +40,20 @@ ReplicationSource::~ReplicationSource() {
 
 void ReplicationSource::prime_from_disk() {
   persist::PersistenceManager* pm = svc_.persistence();
-  persist::FileBackend& fb = pm->backend();
-  const std::string& dir = pm->options().dir;
-
-  std::vector<uint64_t> ckpts, segs;
-  for (const std::string& name : fb.list(dir)) {
-    uint64_t e;
-    if (persist::CheckpointWriter::parse_file_name(name, &e))
-      ckpts.push_back(e);
-    if (persist::WalReader::parse_segment_name(name, &e)) segs.push_back(e);
-  }
-  std::sort(ckpts.begin(), ckpts.end());
-  std::sort(segs.begin(), segs.end());
-
-  // Newest checkpoint that validates (corrupt ones fall back — the
-  // same discipline as persist::recover()).
-  uint64_t ck_epoch = 0;
-  std::string ck_bytes;
-  for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
-    std::string bytes;
-    if (!fb.read_file(dir + "/" + persist::CheckpointWriter::file_name(*it),
-                      &bytes))
-      continue;
-    persist::CheckpointData ck;
-    if (persist::CheckpointWriter::read(bytes, &ck)) {
-      ck_epoch = ck.epoch;
-      ck_bytes = std::move(bytes);
-      break;
-    }
-  }
-
-  // Re-frame every on-disk record past the checkpoint (encode_record
-  // of a decoded record reproduces the original bytes exactly).
-  std::vector<std::pair<uint64_t, std::string>> recs;
-  for (uint64_t seg : segs) {
-    std::string bytes;
-    if (!fb.read_file(dir + "/" + persist::WalReader::segment_name(seg),
-                      &bytes))
-      continue;
-    persist::WalReader::Scan scan = persist::WalReader::scan(bytes);
-    for (const persist::WalRecord& rec : scan.records) {
-      if (rec.epoch <= ck_epoch) continue;
-      recs.emplace_back(
-          rec.epoch, persist::WalWriter::encode_record(rec.epoch, rec.batch));
-    }
-  }
-
+  // The directory's history as recovery would read it; a torn tail here
+  // is just an append in flight (the tap carries it).
+  persist::History h = persist::read_history(pm->backend(), pm->options().dir);
   std::lock_guard<std::mutex> lk(mu_);
-  if (ck_epoch > ckpt_epoch_) {
-    ckpt_epoch_ = ck_epoch;
-    ckpt_bytes_ = std::move(ck_bytes);
+  if (h.checkpoint.epoch > ckpt_epoch_) {
+    ckpt_epoch_ = h.checkpoint.epoch;
+    ckpt_bytes_ = std::move(h.checkpoint_bytes);
   }
-  for (auto& [e, b] : recs)
-    if (e > ckpt_epoch_) ring_.try_emplace(e, std::move(b));
+  // Re-frame every record past the checkpoint (encode_record of a
+  // decoded record reproduces the original bytes exactly).
+  for (const persist::WalRecord& rec : h.records)
+    if (rec.epoch > ckpt_epoch_)
+      ring_.try_emplace(rec.epoch, persist::WalWriter::encode_record(
+                                       rec.epoch, rec.batch));
   ring_.erase(ring_.begin(), ring_.lower_bound(ckpt_epoch_ + 1));
   tip_ = std::max(tip_, ckpt_epoch_);
   if (!ring_.empty()) tip_ = std::max(tip_, ring_.rbegin()->first);
@@ -231,12 +192,11 @@ Replica::Replica(Options opt) : opt_(std::move(opt)) {
     persist::CheckpointData ck;
     if (!persist::CheckpointWriter::read(f.payload, &ck))
       throw std::runtime_error("Replica: corrupt bootstrap checkpoint");
-    // Mirror persist::recover(): live edges under original tickets,
-    // ticket floor, republish the checkpoint epoch.
-    for (const persist::LiveEdge& e : ck.live)
-      svc_->restore_insert(e.ticket, e.u, e.v, e.w);
-    svc_->restore_ticket_floor(ck.next_ticket);
-    svc_->restore_publish(ck.epoch);
+    // Exactly persist::recover()'s bootstrap: the live edges as one
+    // batch under the checkpoint's ticket floor, onto a fresh engine.
+    engine::MutationQueue::Drained image;
+    image.inserts = std::move(ck.live);
+    svc_->replay(ck.epoch, image, ck.next_ticket);
     applied_ = ck.epoch;
   }
   live_ = true;
@@ -261,37 +221,27 @@ Replica::~Replica() {
 }
 
 bool Replica::apply_record(const std::string& bytes) {
+  // Same validation and epoch contract as recovery: a malformed record
+  // or an epoch gap desyncs the replica (serving stale is safe,
+  // applying past a hole is not); a record the bootstrap already
+  // covered is skipped.
   persist::WalRecord rec;
-  if (!persist::WalReader::decode_record(bytes, &rec)) {
-    std::lock_guard<std::mutex> lk(mu_);
-    desynced_ = true;
-    cv_.notify_all();
-    return false;
-  }
-  uint64_t applied;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    applied = applied_;
-  }
-  if (rec.epoch <= applied) return true;  // bootstrap overlap, skip
-  if (rec.epoch != applied + 1) {
-    // Epoch gap: the stream is broken (same contract as recovery's
-    // replay halt) — serving stale is safe, applying past a hole is
-    // not.
-    std::lock_guard<std::mutex> lk(mu_);
-    desynced_ = true;
-    cv_.notify_all();
-    return false;
-  }
-  for (const auto& op : rec.batch.inserts)
-    svc_->restore_insert(op.ticket, op.u, op.v, op.w);
-  for (const auto& op : rec.batch.erases) svc_->restore_erase(op.ticket);
-  svc_->restore_publish(rec.epoch);
-  if (auto obs = svc_->obs_shared())
-    obs->stats.repl_records_applied.fetch_add(1, std::memory_order_relaxed);
+  const engine::SldService::ReplayResult r =
+      persist::WalReader::decode_record(bytes, &rec)
+          ? svc_->replay(rec.epoch, rec.batch)
+          : engine::SldService::ReplayResult::kRefused;
   std::lock_guard<std::mutex> lk(mu_);
-  applied_ = rec.epoch;
-  cv_.notify_all();
+  if (r == engine::SldService::ReplayResult::kRefused) {
+    desynced_ = true;
+    cv_.notify_all();
+    return false;
+  }
+  if (r == engine::SldService::ReplayResult::kApplied) {
+    if (auto obs = svc_->obs_shared())
+      obs->stats.repl_records_applied.fetch_add(1, std::memory_order_relaxed);
+    applied_ = rec.epoch;
+    cv_.notify_all();
+  }
   return true;
 }
 

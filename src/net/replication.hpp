@@ -8,25 +8,30 @@
 // recovery would read from disk. The source keeps a ring of records
 // newer than the latest checkpoint plus that checkpoint's file bytes;
 // a replica bootstraps from (checkpoint, records...) exactly like
-// persist::recover() bootstraps from the directory, then tails live
-// records. Why a tee instead of tailing the files directly: the WAL
-// rides buffered stdio whose tail only reaches the filesystem at fsync
-// granularity, so a disk tailer would lag the engine by the fsync
-// policy; the tee sees every record the instant it is logged.
+// persist::recover() bootstraps from the directory — both through
+// SldService::replay — then tails live records. Why a tee instead of
+// tailing the files directly: the WAL rides buffered stdio whose tail
+// only reaches the filesystem at fsync granularity, so a disk tailer
+// would lag the engine by the fsync policy; the tee sees every record
+// the instant it is logged.
 //
 // The source is attachment-order robust: its constructor installs the
 // tap first (all later flushes are captured), then forces the WAL's
-// stdio buffer to disk and primes the ring from the directory (all
-// earlier records are captured), deduplicating by epoch — so there is
-// no gap no matter when it attaches.
+// stdio buffer to disk and primes the ring from the directory through
+// persist::read_history (all earlier records are captured),
+// deduplicating by epoch — so there is no gap no matter when it
+// attaches.
 //
 // A replica is a full SldService (non-persisted) fed only by the
-// stream: checkpoint applied through the restore path (live edges +
-// ticket floor + republish), then each record re-enacted in strict
-// epoch order — a gap or malformed record marks the replica desynced
-// and stops the tail, never applies garbage. Queries against a replica
-// go through its own broker, so AtLeastEpoch waits work at a lagging
-// epoch: the wait releases when the replicated epoch arrives.
+// stream, through the same SldService::replay entry recovery uses: the
+// checkpoint as one bootstrap batch (live edges + ticket floor), then
+// each record under replay's strict epoch contract — a gap or
+// malformed record marks the replica desynced and stops the tail,
+// never applies garbage. The result is indistinguishable from a
+// recovered engine, endpoint ledger and ticket counter included.
+// Queries against a replica go through its own broker, so AtLeastEpoch
+// waits work at a lagging epoch: the wait releases when the replicated
+// epoch arrives.
 #pragma once
 
 #include <chrono>

@@ -6,9 +6,37 @@
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <cmath>
 #include <stdexcept>
+#include <variant>
 
 namespace dynsld::net {
+
+namespace {
+
+/// Can the engine answer every query of `req`? A vertex argument must
+/// name one of the engine's `n` vertices (past it, the shard lookup
+/// indexes out of range), and tau must not be NaN (the broker groups
+/// requests by (epoch, tau) in ordered maps, which NaN breaks). A
+/// request that fails is a malformed frame.
+bool servable(const engine::QueryRequest& req, vertex_id n) {
+  for (const engine::Query& q : req.queries) {
+    const bool ok = std::visit(
+        [n](const auto& x) {
+          if (std::isnan(x.tau)) return false;
+          if constexpr (requires { x.u; })
+            if (x.u >= n) return false;
+          if constexpr (requires { x.v; })
+            if (x.v >= n) return false;
+          return true;
+        },
+        q);
+    if (!ok) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 RpcServer::RpcServer(engine::SldService& svc, Options opt)
     : svc_(svc), opt_(opt), obs_(svc.obs_shared()) {
@@ -218,7 +246,8 @@ bool RpcServer::handle_frame(Conn& c, Frame&& f) {
       uint64_t rid = 0;
       engine::QueryRequest req;
       if (!decode_query(f.payload, &rid, &req,
-                        std::chrono::steady_clock::now())) {
+                        std::chrono::steady_clock::now()) ||
+          !servable(req, svc_.num_vertices())) {
         if (obs_)
           obs_->stats.net_frame_rejects.fetch_add(1,
                                                   std::memory_order_relaxed);

@@ -192,20 +192,20 @@ bool CheckpointWriter::parse_file_name(const std::string& name,
   return true;
 }
 
-bool CheckpointWriter::write(const engine::EngineSnapshot& snap,
-                             uint64_t next_ticket,
-                             const std::vector<LiveEdge>& live) {
+bool CheckpointWriter::write(
+    const engine::EngineSnapshot& snap, uint64_t next_ticket,
+    const std::vector<engine::MutationQueue::InsertOp>& live) {
   obs::ScopedSpan span(nullptr, "persist.checkpoint", snap.epoch(),
                        obs_ ? obs_->persist_checkpoint : nullptr);
   ByteWriter payload;
   payload.u64(snap.epoch());
   payload.u64(next_ticket);
   payload.u64(live.size());
-  for (const LiveEdge& e : live) {
-    payload.u64(e.ticket);
-    payload.u32(e.u);
-    payload.u32(e.v);
-    payload.f64(e.w);
+  for (const engine::MutationQueue::InsertOp& op : live) {
+    payload.u64(op.ticket);
+    payload.u32(op.u);
+    payload.u32(op.v);
+    payload.f64(op.w);
   }
   SnapshotCodec::encode(snap, payload);
 
@@ -244,12 +244,12 @@ bool CheckpointWriter::read(const std::string& bytes, CheckpointData* out) {
   out->live.clear();
   out->live.reserve(static_cast<size_t>(n_live));
   for (uint64_t i = 0; i < n_live; ++i) {
-    LiveEdge e;
-    e.ticket = r.u64();
-    e.u = r.u32();
-    e.v = r.u32();
-    e.w = r.f64();
-    out->live.push_back(e);
+    engine::MutationQueue::InsertOp op;
+    op.ticket = r.u64();
+    op.u = r.u32();
+    op.v = r.u32();
+    op.w = r.f64();
+    out->live.push_back(op);
   }
   if (!r.ok()) return false;
   out->snapshot_bytes.assign(payload + (len - r.remaining()), r.remaining());

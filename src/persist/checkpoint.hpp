@@ -6,11 +6,12 @@
 // EngineSnapshot to the CheckpointWriter, which serializes TWO views
 // of the engine into one atomically published file:
 //
-//   - the LIVE EDGE TABLE (ticket, u, v, weight — ticket-ascending):
-//     the alive edge multiset recovery re-inserts through the normal
-//     mutation path, so the restored engine is a real, mutable engine,
-//     not a frozen replica. Ticket order is insertion order, which
-//     keeps the endpoint ledger's "erase the most recent copy"
+//   - the LIVE EDGE TABLE (ticket, u, v, weight — ticket-ascending),
+//     enumerated from the router's ticket table: a drained batch of
+//     every live insert, which recovery replays as one bootstrap epoch
+//     (SldService::replay), so the restored engine is a real, mutable
+//     engine, not a frozen replica. Ticket order is insertion order,
+//     which keeps the endpoint ledger's "erase the most recent copy"
 //     resolution identical after recovery;
 //   - the FROZEN SNAPSHOT (per-shard rank-sorted CSR DendrogramSnapshot
 //     arrays + cross-edge table + epoch/delta/trace metadata), encoded
@@ -42,19 +43,13 @@
 #include <vector>
 
 #include "engine/epoch.hpp"
+#include "engine/mutation_queue.hpp"
 #include "engine/stats.hpp"
 #include "persist/bytes.hpp"
 #include "persist/file_backend.hpp"
 #include "persist/options.hpp"
 
 namespace dynsld::persist {
-
-/// One alive edge at checkpoint time, keyed by its insertion ticket.
-struct LiveEdge {
-  uint64_t ticket = 0;
-  uint32_t u = 0, v = 0;
-  double w = 0.0;
-};
 
 /// Byte codec for a full EngineSnapshot (friend of EngineSnapshot and
 /// DendrogramSnapshot — the one place their private arrays cross the
@@ -85,7 +80,9 @@ struct CheckpointData {
   /// ticket that ever existed, including erased ones absent from
   /// `live`.
   uint64_t next_ticket = 0;
-  std::vector<LiveEdge> live;
+  /// Every live edge as the insertion that created it, ascending
+  /// tickets — replayed as one drained batch on recovery.
+  std::vector<engine::MutationQueue::InsertOp> live;
   /// SnapshotCodec bytes of the frozen EngineSnapshot.
   std::string snapshot_bytes;
 };
@@ -101,7 +98,7 @@ class CheckpointWriter {
   /// Write ckpt-<epoch>.bin for `snap` + the live-edge table. False on
   /// I/O failure (the previous checkpoint, if any, is untouched).
   bool write(const engine::EngineSnapshot& snap, uint64_t next_ticket,
-             const std::vector<LiveEdge>& live);
+             const std::vector<engine::MutationQueue::InsertOp>& live);
 
   /// Checkpoint file name for an epoch (zero-padded: lexicographic
   /// order == epoch order).

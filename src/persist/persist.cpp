@@ -35,28 +35,16 @@ void PersistenceManager::require_fresh() const {
   }
 }
 
-void PersistenceManager::log_batch(
-    uint64_t epoch, const engine::MutationQueue::Drained& batch) {
-  wal_.append(epoch, batch);
-  for (const auto& op : batch.inserts)
-    live_[op.ticket] = Edge{op.u, op.v, op.w};
-  for (const auto& op : batch.erases) live_.erase(op.ticket);
-}
-
-void PersistenceManager::on_publish(const engine::EngineSnapshot& snap,
-                                    uint64_t next_ticket) {
-  // checkpoint_every == 0 is rejected by PersistOptions::validate().
-  if (snap.epoch() - last_checkpoint_epoch_ < opts_.checkpoint_every) return;
-  std::vector<LiveEdge> live;
-  live.reserve(live_.size());
-  for (const auto& [t, e] : live_)
-    live.push_back(LiveEdge{t, e.u, e.v, e.w});
-  if (!ckpt_.write(snap, next_ticket, live)) return;  // retry next publish
+bool PersistenceManager::checkpoint(
+    const engine::EngineSnapshot& snap, uint64_t next_ticket,
+    const std::vector<engine::MutationQueue::InsertOp>& live) {
+  if (!ckpt_.write(snap, next_ticket, live)) return false;
   last_checkpoint_epoch_ = snap.epoch();
   // Rotate so the new segment starts past the checkpoint: compaction
   // then deletes whole covered segments, never rewrites one.
   wal_.begin_segment(snap.epoch() + 1);
   Compactor::run(*backend_, opts_, obs_.get());
+  return true;
 }
 
 engine::EpochManager::Snap PersistenceManager::rehydrate(uint64_t epoch) {
@@ -87,6 +75,76 @@ engine::EpochManager::Snap PersistenceManager::rehydrate(uint64_t epoch) {
   return snap;
 }
 
+History read_history(FileBackend& backend, const std::string& dir) {
+  std::vector<uint64_t> ckpts, segs;
+  for (const std::string& name : backend.list(dir)) {
+    uint64_t e;
+    if (CheckpointWriter::parse_file_name(name, &e)) ckpts.push_back(e);
+    if (WalReader::parse_segment_name(name, &e)) segs.push_back(e);
+  }
+  std::sort(ckpts.begin(), ckpts.end());
+  std::sort(segs.begin(), segs.end());
+
+  History h;
+  // Newest checkpoint that validates wins; corrupt files fall back to
+  // older ones (checkpoints publish atomically, so at most the newest
+  // can be a casualty of the crash — and only on non-atomic stores).
+  for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
+    std::string bytes;
+    CheckpointData ck;
+    if (backend.read_file(dir + "/" + CheckpointWriter::file_name(*it),
+                          &bytes) &&
+        CheckpointWriter::read(bytes, &ck)) {
+      h.checkpoint = std::move(ck);
+      h.checkpoint_bytes = std::move(bytes);
+      break;
+    }
+  }
+
+  // Segments in epoch order, every record past the checkpoint. The
+  // history ends at the first tear (or headerless/unreadable segment)
+  // or epoch gap — a gap is impossible from the single sequential
+  // writer and means tampering; everything before it is consistent,
+  // and later segments are unreachable across the hole.
+  uint64_t last = h.checkpoint.epoch;
+  size_t si = 0;
+  for (; si < segs.size(); ++si) {
+    const std::string name = WalReader::segment_name(segs[si]);
+    std::string bytes;
+    WalReader::Scan scan;
+    if (backend.read_file(dir + "/" + name, &bytes))
+      scan = WalReader::scan(bytes);
+    if (!scan.ok) {
+      // Crash before the segment header landed: the file carries no
+      // records.
+      h.torn = true;
+      break;
+    }
+    h.tail_segment = name;
+    h.tail_bytes = scan.valid_bytes;
+    bool ends_here = scan.torn;
+    for (size_t i = 0; i < scan.records.size(); ++i) {
+      WalRecord& rec = scan.records[i];
+      if (rec.epoch <= last) continue;  // covered by the checkpoint
+      if (rec.epoch != last + 1) {
+        h.tail_bytes = scan.record_offset[i];
+        ends_here = true;
+        break;
+      }
+      last = rec.epoch;
+      h.records.push_back(std::move(rec));
+    }
+    if (ends_here) {
+      h.torn = scan.torn;
+      ++si;
+      break;
+    }
+  }
+  for (; si < segs.size(); ++si)
+    h.dropped.push_back(WalReader::segment_name(segs[si]));
+  return h;
+}
+
 RecoverResult recover(engine::ServiceConfig cfg,
                       std::shared_ptr<FileBackend> backend) {
   if (!cfg.persist.enabled())
@@ -95,19 +153,9 @@ RecoverResult recover(engine::ServiceConfig cfg,
   const PersistOptions opts = cfg.persist;
   backend->mkdirs(opts.dir);
 
-  std::vector<uint64_t> ckpts, segs;
-  for (const std::string& name : backend->list(opts.dir)) {
-    uint64_t e;
-    if (CheckpointWriter::parse_file_name(name, &e)) ckpts.push_back(e);
-    if (WalReader::parse_segment_name(name, &e)) segs.push_back(e);
-  }
-  std::sort(ckpts.begin(), ckpts.end());
-  std::sort(segs.begin(), segs.end());
-
-  RecoverResult res;
   // Boot the service with persistence DETACHED: replay re-enacts
-  // history through the normal mutation path, and none of it may be
-  // re-logged. The manager attaches once the replay is complete.
+  // history, and none of it may be re-logged. The manager attaches
+  // once the replay is complete.
   engine::ServiceConfig boot = cfg;
   boot.persist.dir.clear();
   auto svc = std::make_unique<engine::SldService>(boot);
@@ -116,100 +164,34 @@ RecoverResult recover(engine::ServiceConfig cfg,
   auto pm =
       std::make_unique<PersistenceManager>(opts, backend, svc->obs_shared());
 
-  // Newest checkpoint that validates wins; corrupt files fall back to
-  // older ones (checkpoints publish atomically, so at most the newest
-  // can be a casualty of the crash — and only on non-atomic stores).
-  CheckpointData ck;
-  bool have_ck = false;
-  for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
-    std::string bytes;
-    if (!backend->read_file(
-            opts.dir + "/" + CheckpointWriter::file_name(*it), &bytes))
-      continue;
-    if (CheckpointWriter::read(bytes, &ck)) {
-      have_ck = true;
-      break;
-    }
-  }
-  if (have_ck) {
-    for (const LiveEdge& e : ck.live) {
-      svc->restore_insert(e.ticket, e.u, e.v, e.w);
-      pm->seed_live(e.ticket, e.u, e.v, e.w);
-    }
-    svc->restore_ticket_floor(ck.next_ticket);
-    svc->restore_publish(ck.epoch);
-    pm->set_last_checkpoint(ck.epoch);
-    res.checkpoint_epoch = ck.epoch;
+  // Repair the directory where the history ended, so the resumed
+  // writer appends right after the last replayable record.
+  History h = read_history(*backend, opts.dir);
+  for (const std::string& name : h.dropped)
+    backend->remove(opts.dir + "/" + name);
+  if (!h.tail_segment.empty()) {
+    backend->truncate(opts.dir + "/" + h.tail_segment, h.tail_bytes);
+    pm->resume_segment(h.tail_segment);
   }
 
-  // Replay WAL segments in epoch order, re-enacting each record past
-  // the checkpoint through the restore path. Replay halts at the first
-  // tear; later segments (possible only after mid-file corruption) are
-  // unreachable across the hole and are dropped.
-  uint64_t published = svc->epoch();
-  std::string resume;  // segment the writer should continue appending to
-  bool halted = false;
-  size_t si = 0;
-  for (; si < segs.size() && !halted; ++si) {
-    const std::string name = WalReader::segment_name(segs[si]);
-    const std::string path = opts.dir + "/" + name;
-    std::string bytes;
-    if (!backend->read_file(path, &bytes)) {
-      backend->remove(path);
-      res.torn_tail_truncated = true;
-      halted = true;
-      break;
-    }
-    WalReader::Scan scan = WalReader::scan(bytes);
-    if (!scan.ok) {
-      // Crash before the segment header landed: the file carries no
-      // records — drop it and start fresh from here.
-      backend->remove(path);
-      res.torn_tail_truncated = true;
-      halted = true;
-      break;
-    }
-    for (const WalRecord& rec : scan.records) {
-      if (rec.epoch <= published) continue;  // covered by the checkpoint
-      if (rec.epoch != published + 1) {
-        // Epoch gap: impossible from the single sequential writer;
-        // indicates external tampering. Stop replaying — everything up
-        // to the gap is consistent — and drop the segment (resuming
-        // after out-of-order records would corrupt it further).
-        halted = true;
-        break;
-      }
-      for (const auto& op : rec.batch.inserts) {
-        svc->restore_insert(op.ticket, op.u, op.v, op.w);
-        pm->seed_live(op.ticket, op.u, op.v, op.w);
-      }
-      for (const auto& op : rec.batch.erases) {
-        svc->restore_erase(op.ticket);
-        pm->unseed_live(op.ticket);
-      }
-      svc->restore_publish(rec.epoch);
-      published = rec.epoch;
+  RecoverResult res;
+  res.torn_tail_truncated = h.torn;
+  if (!h.checkpoint_bytes.empty()) {
+    engine::MutationQueue::Drained image;
+    image.inserts = std::move(h.checkpoint.live);
+    svc->replay(h.checkpoint.epoch, image, h.checkpoint.next_ticket);
+    pm->set_last_checkpoint(h.checkpoint.epoch);
+    res.checkpoint_epoch = h.checkpoint.epoch;
+  }
+  for (const WalRecord& rec : h.records) {
+    if (svc->replay(rec.epoch, rec.batch) ==
+        engine::SldService::ReplayResult::kApplied)
       ++res.records_replayed;
-    }
-    if (scan.torn) {
-      backend->truncate(path, scan.valid_bytes);
-      res.torn_tail_truncated = true;
-      halted = true;
-      resume = name;  // truncated to a record boundary: appendable
-    } else if (!halted) {
-      resume = name;
-    }
   }
-  if (halted) {
-    for (size_t j = si; j < segs.size(); ++j)
-      backend->remove(opts.dir + "/" + WalReader::segment_name(segs[j]));
-  }
-
-  res.tip_epoch = published;
-  if (res.records_replayed && svc->obs_shared())
+  res.tip_epoch = svc->epoch();
+  if (res.records_replayed)
     svc->obs_shared()->stats.recovery_replayed.fetch_add(
         res.records_replayed, std::memory_order_relaxed);
-  if (!resume.empty()) pm->resume_segment(resume);
   svc->attach_persistence(std::move(pm));
   res.service = std::move(svc);
   return res;

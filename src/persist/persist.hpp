@@ -1,18 +1,18 @@
 // The durability plane's front half: the PersistenceManager that rides
-// the service's flush path, and recover() — the crash-recovery entry
-// point that turns a directory back into a running engine.
+// the service's flush path, read_history() — the one reader of a
+// directory's durable history — and recover(), the crash-recovery
+// entry point that turns a directory back into a running engine.
 //
 // Write side (all calls under the service's flush lock):
 //
 //   flush: drain -> log_batch(epoch, batch)  [WAL append, pre-apply]
-//            -> apply -> publish -> on_publish(snapshot, next_ticket)
-//                                   [checkpoint every K epochs, rotate
-//                                    the WAL segment, compact history]
+//            -> apply -> publish -> checkpoint_due(epoch)?
+//                 -> checkpoint(snapshot, next_ticket, live edges)
+//                                   [every K epochs: write, rotate the
+//                                    WAL segment, compact history]
 //
-// log_batch also maintains the manager's live-edge table (the alive
-// ticket -> (u, v, w) multiset), which is what checkpoints serialize so
-// recovery can rebuild a REAL mutable engine through the normal
-// mutation path instead of thawing a frozen replica.
+// The live-edge table a checkpoint serializes comes from the router's
+// ticket table (ShardRouter::live_edges), enumerated only when due.
 //
 // Read side: rehydrate(epoch) serves the AsOf{epoch} checkpoint tier —
 // an LRU of snapshots decoded from checkpoint files, shared with the
@@ -20,18 +20,13 @@
 // epochs rehydrate; anything else in cold history is unavailable by
 // contract (docs/DURABILITY.md).
 //
-// recover(cfg) replays a directory:
-//
-//   1. load the newest checkpoint that validates (corrupt ones fall
-//      back to older files — checkpoints publish atomically);
-//   2. re-insert its live edges under their original tickets, restore
-//      the ticket floor, republish the checkpoint epoch;
-//   3. scan WAL segments in order and re-enact each record through the
-//      restore path, republishing the exact epoch sequence; a torn
-//      tail record is truncated away (bounded loss: whatever the fsync
-//      policy left volatile), and the segment resumes appending there;
-//   4. attach a PersistenceManager positioned to continue — same
-//      segment, same checkpoint cadence — and hand back the service.
+// read_history(dir) is the one reader of a directory's history (for
+// recover() and the replication source): the newest checkpoint that
+// validates (corrupt ones fall back to older files), then every WAL
+// record past it in epoch order, up to the first tear or epoch gap.
+// recover(cfg) replays that through SldService::replay, truncates the
+// tail segment where the history ended, drops the segments past it,
+// and attaches a PersistenceManager positioned to continue there.
 //
 // The recovered engine is bit-for-bit the logged one: same tickets,
 // same endpoint-ledger resolution, same epoch numbers, same labels and
@@ -41,7 +36,6 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -80,14 +74,23 @@ class PersistenceManager {
   FileBackend& backend() { return *backend_; }
 
   /// WAL the batch that is about to become `epoch` (called after the
-  /// drain, before the apply) and fold it into the live-edge table.
-  void log_batch(uint64_t epoch, const engine::MutationQueue::Drained& batch);
+  /// drain, before the apply).
+  void log_batch(uint64_t epoch, const engine::MutationQueue::Drained& batch) {
+    wal_.append(epoch, batch);
+  }
 
-  /// Checkpoint cadence hook, called after every publish: every
-  /// `checkpoint_every` epochs, write ckpt-<epoch>.bin, rotate the WAL
-  /// segment to <epoch + 1>, and compact history past the retention
-  /// window. A failed checkpoint write retries at the next publish.
-  void on_publish(const engine::EngineSnapshot& snap, uint64_t next_ticket);
+  /// Is a checkpoint due at the just-published `epoch`? (A failed
+  /// write leaves it due: the next publish retries.)
+  bool checkpoint_due(uint64_t epoch) const {
+    // checkpoint_every == 0 is rejected by PersistOptions::validate().
+    return epoch - last_checkpoint_epoch_ >= opts_.checkpoint_every;
+  }
+
+  /// Write ckpt-<epoch>.bin (`live`: every live edge, ascending
+  /// tickets), rotate the WAL segment to <epoch + 1>, and compact
+  /// history past the retention window. False when the write failed.
+  bool checkpoint(const engine::EngineSnapshot& snap, uint64_t next_ticket,
+                  const std::vector<engine::MutationQueue::InsertOp>& live);
 
   /// AsOf checkpoint tier: the snapshot of exactly `epoch`, from the
   /// LRU or decoded from ckpt-<epoch>.bin; null when no checkpoint at
@@ -108,43 +111,19 @@ class PersistenceManager {
   /// past the interval). No-op under other policies.
   bool sync_if_due() { return wal_.sync_if_due(); }
 
-  // ---- recovery seeding (recover() drives these before attach) ----
-
-  /// Seed one alive edge into the live-edge table.
-  void seed_live(uint64_t ticket, vertex_id u, vertex_id v, double w) {
-    live_[ticket] = Edge{u, v, w};
-  }
-  /// Drop a ticket from the live-edge table (replayed erase).
-  void unseed_live(uint64_t ticket) { live_.erase(ticket); }
   /// The checkpoint epoch the cadence counts from.
   void set_last_checkpoint(uint64_t epoch) { last_checkpoint_epoch_ = epoch; }
-  /// Epoch of the newest durable checkpoint (0 = none yet). Flush-lock
-  /// domain; the replication source reads it from the publish tap to
-  /// notice cadence checkpoints and prune its record ring.
-  uint64_t last_checkpoint() const { return last_checkpoint_epoch_; }
   /// Resume appending to the (already truncated) newest segment.
   bool resume_segment(const std::string& name) {
     return wal_.open_existing(name);
   }
-  /// Alive edges tracked for the next checkpoint (introspection).
-  size_t live_edges() const { return live_.size(); }
 
  private:
-  /// One live-edge table entry (the ticket is the map key).
-  struct Edge {
-    vertex_id u, v;
-    double w;
-  };
-
   PersistOptions opts_;
   std::shared_ptr<FileBackend> backend_;
   std::shared_ptr<engine::EngineObs> obs_;
   WalWriter wal_;
   CheckpointWriter ckpt_;
-  // Alive ticket -> edge, ticket-ascending (= insertion order, which
-  // is the order checkpoints serialize and recovery re-inserts).
-  // Flush-lock domain, like the WAL writer.
-  std::map<uint64_t, Edge> live_;
   uint64_t last_checkpoint_epoch_ = 0;
 
   // AsOf rehydration LRU, most-recent first (own lock: dispatcher-
@@ -152,6 +131,30 @@ class PersistenceManager {
   std::mutex cache_mu_;
   std::list<std::pair<uint64_t, engine::EpochManager::Snap>> cache_;
 };
+
+/// The durable history one directory holds, in replay order, and
+/// where it ends (recover()'s repair plan).
+struct History {
+  /// The newest checkpoint that validated, and its file bytes (empty:
+  /// none did; replay starts from epoch 0).
+  CheckpointData checkpoint;
+  std::string checkpoint_bytes;
+  /// Every record past the checkpoint, epochs contiguous.
+  std::vector<WalRecord> records;
+  /// The segment the history ends in and the length of its replayable
+  /// prefix, where a resumed writer appends (empty: none survives).
+  std::string tail_segment;
+  uint64_t tail_bytes = 0;
+  /// A torn record or a headerless/unreadable segment ended it.
+  bool torn = false;
+  /// Segments past the end (or unreadable) — recovery deletes them.
+  std::vector<std::string> dropped;
+};
+
+/// Read `dir`'s durable history. Pure: never modifies the directory,
+/// so a live writer's replication source can read it too (a torn tail
+/// there is just the append in flight).
+History read_history(FileBackend& backend, const std::string& dir);
 
 /// What recover() reconstructed.
 struct RecoverResult {

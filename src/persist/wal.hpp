@@ -122,6 +122,9 @@ class WalReader {
   struct Scan {
     /// Records that validated, in file order.
     std::vector<WalRecord> records;
+    /// Byte offset where records[i] starts (truncating there keeps
+    /// exactly the records before it).
+    std::vector<uint64_t> record_offset;
     /// Byte offset just past the last valid record (the truncation
     /// point when `torn`).
     uint64_t valid_bytes = 0;

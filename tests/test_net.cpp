@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -455,6 +456,52 @@ TEST(Rpc, ConcurrentClientsAllAnswerConsistently) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+/// Queries the engine cannot serve are malformed frames: a vertex past
+/// num_vertices (its shard lookup would index out of range) and a NaN
+/// tau (it breaks the broker's ordered (epoch, tau) grouping). Each
+/// drops its own connection through the frame-reject path; another
+/// connection keeps getting answers equal to submit().
+TEST(Rpc, UnservableQueriesAreRejectedAsMalformedFrames) {
+  SldService svc(net_config());
+  churn(svc, 4, /*seed=*/12);
+  const uint64_t tip = svc.epoch();
+  RpcServer server(svc);
+  RpcClient healthy("127.0.0.1", server.port());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<engine::Query> bad = {
+      engine::ClusterSizeQuery{120, 0.5},  // vertex == num_vertices
+      engine::ClusterReportQuery{0xFFFFFFFFu, 0.5},
+      engine::SameClusterQuery{3, 0xFFFFFFFFu, 0.5},
+      engine::NumClustersQuery{nan},
+      engine::SameClusterQuery{1, 2, nan},
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("bad query " + std::to_string(i));
+    const uint64_t rejects = svc.stats().net_frame_rejects;
+    {
+      RpcClient client("127.0.0.1", server.port());
+      QueryRequest req;
+      // Share the healthy client's (epoch, tau) group, so a query that
+      // slipped through would join it.
+      req.queries = {engine::NumClustersQuery{0.4}, bad[i]};
+      req.consistency = AsOf{tip};
+      EXPECT_THROW(client.query(req), std::runtime_error);
+    }
+    EXPECT_EQ(svc.stats().net_frame_rejects, rejects + 1);
+
+    QueryRequest probe;
+    probe.queries = {engine::NumClustersQuery{0.4},
+                     engine::ClusterSizeQuery{119, 0.4},
+                     engine::SameClusterQuery{0, 119, 0.4},
+                     engine::SizeHistogramQuery{0.4}};
+    probe.consistency = AsOf{tip};
+    QueryRequest local = probe;
+    expect_same_results(healthy.query(probe),
+                        svc.submit(std::move(local)).get());
+  }
 }
 
 // ---- drain semantics (the shutdown-wake regression) -------------------

@@ -689,6 +689,199 @@ TEST(Persist, TicketAndLedgerContinuityAfterRecovery) {
   EXPECT_FALSE(svc.same_cluster(0, 1, 0.99));
 }
 
+// ---- the replay entry -------------------------------------------------
+
+/// One drained batch inserting a single edge.
+MutationQueue::Drained insert_batch(ticket_t t, vertex_id u, vertex_id v,
+                                    double w) {
+  MutationQueue::Drained b;
+  b.inserts.push_back({t, u, v, w});
+  return b;
+}
+
+/// SldService::replay's epoch contract, pinned once for every caller
+/// (recovery and the replica both re-enact history through it): an
+/// overlapping record is skipped, a gapped record is refused, and a
+/// checkpoint image only bootstraps an engine still at epoch 0 —
+/// skipped and refused calls leave the engine exactly as it was.
+TEST(Replay, EpochContractSkipsOverlapRefusesGapsAndLateBootstraps) {
+  using R = SldService::ReplayResult;
+  ServiceConfig cfg;
+  cfg.num_vertices = 16;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  EXPECT_EQ(svc.replay(1, insert_batch(0, 0, 1, 0.1)), R::kApplied);
+  EXPECT_EQ(svc.replay(2, insert_batch(1, 2, 3, 0.2)), R::kApplied);
+  ASSERT_EQ(svc.epoch(), 2u);
+
+  // Overlap: epochs the engine already holds are skipped, whatever
+  // their batch says.
+  EXPECT_EQ(svc.replay(2, insert_batch(7, 4, 5, 0.3)), R::kCovered);
+  EXPECT_EQ(svc.replay(1, insert_batch(8, 6, 7, 0.3)), R::kCovered);
+  // Gap: refused, the engine stays at its epoch.
+  EXPECT_EQ(svc.replay(4, insert_batch(9, 4, 5, 0.3)), R::kRefused);
+  // A checkpoint image onto a non-fresh engine: refused.
+  EXPECT_EQ(svc.replay(10, insert_batch(9, 4, 5, 0.3), /*ticket_floor=*/20),
+            R::kRefused);
+  EXPECT_EQ(svc.epoch(), 2u);
+  EXPECT_EQ(svc.stats().flushes, 2u);
+  EXPECT_FALSE(svc.same_cluster(4, 5, 0.9));
+  EXPECT_FALSE(svc.same_cluster(6, 7, 0.9));
+
+  // The refusals changed nothing: the next record still applies, and
+  // the engine continues history as if it had logged it itself.
+  EXPECT_EQ(svc.replay(3, insert_batch(2, 4, 5, 0.3)), R::kApplied);
+  EXPECT_TRUE(svc.same_cluster(4, 5, 0.5));
+  EXPECT_EQ(svc.stats().inserts_enqueued, 0u);  // history counted once
+  EXPECT_EQ(svc.insert(8, 9, 0.4), 3u);         // tickets follow history
+  EXPECT_TRUE(svc.erase(vertex_id{1}, vertex_id{0}));  // ledger replayed
+  EXPECT_EQ(svc.flush(), 4u);
+  EXPECT_FALSE(svc.same_cluster(0, 1, 0.9));
+
+  // A checkpoint image bootstraps a fresh engine: the epoch jumps, the
+  // ticket floor holds, and records then continue strictly after it.
+  SldService fresh(cfg);
+  MutationQueue::Drained image = insert_batch(5, 0, 1, 0.1);
+  image.inserts.push_back({9, 2, 3, 0.2});
+  EXPECT_EQ(fresh.replay(40, image, /*ticket_floor=*/30), R::kApplied);
+  EXPECT_EQ(fresh.epoch(), 40u);
+  EXPECT_EQ(fresh.replay(40, insert_batch(30, 4, 5, 0.3)), R::kCovered);
+  EXPECT_EQ(fresh.replay(42, insert_batch(30, 4, 5, 0.3)), R::kRefused);
+  EXPECT_EQ(fresh.replay(41, insert_batch(30, 4, 5, 0.3)), R::kApplied);
+  EXPECT_EQ(fresh.insert(6, 7, 0.4), 31u);
+  EXPECT_TRUE(fresh.same_cluster(2, 3, 0.5));
+}
+
+/// The checkpoint's live-edge table is enumerated from the router's
+/// ticket table, not kept alongside it: under erase-heavy churn with
+/// cross-shard edges, annihilated pairs, and MSF swaps (a non-tree edge
+/// promoted when the tree edge it backs up is erased), every retained
+/// checkpoint must hold exactly the test's own (ticket, u, v, w) ledger
+/// at that epoch, in ascending ticket order.
+TEST(Persist, CheckpointLiveTableIsTheRoutersLedger) {
+  TempDir dir;
+  ServiceConfig cfg;
+  cfg.num_vertices = 64;
+  cfg.num_shards = 4;  // 16-vertex shards
+  cfg.persist.dir = dir.path;
+  cfg.persist.checkpoint_every = 3;
+  cfg.persist.retain_checkpoints = 64;  // keep every checkpoint to check
+  using Ledger = std::map<ticket_t, MutationQueue::InsertOp>;
+  Ledger ledger;
+  std::map<uint64_t, Ledger> at_epoch;
+  auto rng = test::test_rng();
+  uint64_t widx = 0;
+  size_t swaps = 0;
+  SldService svc(cfg);
+  auto insert = [&](vertex_id u, vertex_id v, double w) {
+    ticket_t t = svc.insert(u, v, w);
+    ledger[t] = MutationQueue::InsertOp{t, u, v, w};
+    return t;
+  };
+  auto erase = [&](ticket_t t) {
+    svc.erase(t);
+    ledger.erase(t);
+  };
+  auto flush = [&] { at_epoch[svc.flush()] = ledger; };
+  for (int round = 0; round < 36; ++round) {
+    // An MSF swap inside one shard: a triangle whose heaviest edge is
+    // non-tree until the lightest is erased in the next epoch.
+    const vertex_id a = static_cast<vertex_id>(16 * (round % 4));
+    const vertex_id b = a + 1 + static_cast<vertex_id>(round % 7);
+    const vertex_id c = b + 1 + static_cast<vertex_id>(round % 5);
+    ticket_t light = insert(a, b, 0.001 * (round + 1));
+    insert(b, c, 0.002 * (round + 1));
+    insert(a, c, 0.9 + 0.001 * round);  // non-tree: closes the cycle
+    // Random churn: unique weights, ~half of them cross-shard; an
+    // annihilated pair (insert + erase before any flush) for good
+    // measure.
+    for (int i = 0; i < 10; ++i) {
+      auto [u, v] = test::random_distinct_pair(rng, 64);
+      insert(u, v, unique_weight(widx++));
+    }
+    erase(insert(a, c, unique_weight(widx++)));
+    flush();
+    erase(light);  // promotes (a, c) unless another path already spans
+    // Erase-heavy: past the warm-up, erase more than the round inserts.
+    const size_t n_erase = round < 8 ? 4 : 16;
+    for (size_t i = 0; i < n_erase && ledger.size() > 8; ++i) {
+      auto it = ledger.begin();
+      std::advance(it, rng.next_bounded(ledger.size()));
+      erase(it->first);
+    }
+    flush();
+    if (svc.same_cluster(a, b, 0.95) && !svc.same_cluster(a, b, 0.5)) ++swaps;
+  }
+  ASSERT_GT(swaps, 0u) << "no erase promoted a non-tree edge";
+  ASSERT_GE(svc.stats().cross_ops, 1u);
+
+  size_t checked = 0;
+  for (const auto& name : persist::local_backend()->list(dir.path)) {
+    uint64_t e;
+    if (!persist::CheckpointWriter::parse_file_name(name, &e)) continue;
+    SCOPED_TRACE("checkpoint epoch=" + std::to_string(e));
+    std::string bytes;
+    ASSERT_TRUE(
+        persist::local_backend()->read_file(dir.path + "/" + name, &bytes));
+    persist::CheckpointData ck;
+    ASSERT_TRUE(persist::CheckpointWriter::read(bytes, &ck));
+    ASSERT_TRUE(at_epoch.count(e));
+    const Ledger& want = at_epoch[e];
+    ASSERT_EQ(ck.live.size(), want.size());
+    size_t i = 0;
+    for (const auto& [t, op] : want) {  // std::map: ascending tickets
+      EXPECT_EQ(ck.live[i].ticket, t);
+      EXPECT_EQ(ck.live[i].u, op.u);
+      EXPECT_EQ(ck.live[i].v, op.v);
+      EXPECT_EQ(ck.live[i].w, op.w);
+      ++i;
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 10u);
+}
+
+/// A gapped WAL tail (impossible from the sequential writer: only
+/// tampering makes one) ends the history like a tear does: recovery
+/// stops at the last contiguous epoch, truncates the record past the
+/// hole away, and the resumed engine's next epochs recover cleanly.
+TEST(Persist, GappedRecordEndsHistoryAndIsTruncated) {
+  TempDir dir;
+  const double tau = 0.5;
+  ServiceConfig cfg;
+  cfg.num_vertices = 32;
+  cfg.num_shards = 2;
+  cfg.persist.dir = dir.path;
+  cfg.persist.checkpoint_every = 1'000'000;  // one segment, WAL only
+  std::map<uint64_t, EpochFingerprint> fps;
+  {
+    SldService svc(cfg);
+    fps = churn_workload(svc, 61, 6, tau);
+  }
+  const uint64_t tip = fps.rbegin()->first;
+  const std::string seg = dir.path + "/" + persist::WalReader::segment_name(1);
+  const uint64_t clean_size = fs::file_size(seg);
+  {
+    std::ofstream f(seg, std::ios::binary | std::ios::app);
+    const std::string rec = persist::WalWriter::encode_record(
+        tip + 2, insert_batch(1000, 0, 1, 0.5));
+    f.write(rec.data(), static_cast<std::streamsize>(rec.size()));
+  }
+  auto res = persist::recover(cfg);
+  ASSERT_TRUE(res.service);
+  EXPECT_EQ(res.tip_epoch, tip);
+  EXPECT_FALSE(res.torn_tail_truncated);  // a gap is not a tear
+  EXPECT_EQ(fs::file_size(seg), clean_size);
+  expect_fingerprint_eq(fingerprint(res.service->snapshot(), tau),
+                        fps.rbegin()->second);
+  auto more = churn_workload(*res.service, 62, 3, tau);
+  res.service.reset();
+  auto res2 = persist::recover(cfg);
+  EXPECT_EQ(res2.tip_epoch, more.rbegin()->first);
+  expect_fingerprint_eq(fingerprint(res2.service->snapshot(), tau),
+                        more.rbegin()->second);
+}
+
 // ---- crash injection --------------------------------------------------
 
 TEST(Persist, RandomizedCrashPointsRecoverBitForBit) {
