@@ -37,7 +37,7 @@
 //      serving tier (retention ring, cold checkpoint rehydration,
 //      rehydration LRU) against the Latest baseline.
 //   9. Incremental flush: per-flush latency of the contraction-round
-//      patch (retained per-shard state, copy-on-write snapshot arrays)
+//      patch (retained per-shard state, chunk-shared stable-slot snapshots)
 //      vs the from-scratch rebuild across a batch-size x shard-size
 //      sweep; the rounds_rerun/rounds_total counters prove which
 //      lifting rounds were reused, and oversized batches show the
@@ -50,9 +50,6 @@
 //
 //   $ ./bench_engine [--smoke]     (--smoke: tiny sizes, CI rot check)
 #include <unistd.h>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include <algorithm>
 #include <chrono>
@@ -1177,14 +1174,6 @@ static void wire_serving(bool smoke) {
 }
 
 int main(int argc, char** argv) {
-#if defined(__GLIBC__)
-  // Snapshot arrays are a few hundred KB each; above glibc's default
-  // mmap threshold they are mmap'd fresh per flush and handed back to
-  // the OS on free, so every epoch pays page faults instead of reusing
-  // heap chunks. Pin the threshold high so latency numbers measure the
-  // engine, not the allocator.
-  mallopt(M_MMAP_THRESHOLD, 64 << 20);
-#endif
   bool smoke = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;

@@ -1,30 +1,43 @@
 #include "engine/contraction.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstring>
-#include <limits>
 #include <utility>
 
 namespace dynsld::engine {
 
 namespace {
+
 constexpr int32_t kNoSlot = DendrogramSnapshot::kNoSlot;
-constexpr uint32_t kFar = std::numeric_limits<uint32_t>::max();
+
+// Slot stamps (ShardContraction::mark_).
+constexpr uint8_t kMarkAdded = 1;    // added this epoch (alive)
+constexpr uint8_t kMarkRemoved = 2;  // live in prev, removed this epoch
+constexpr uint8_t kMarkSeen = 4;     // journal dedup of re-parentings
+constexpr uint8_t kMarkActive = 8;   // in the changed set or below it
+constexpr uint8_t kMarkKids = 16;    // child slots rewritten
+constexpr uint8_t kMarkDirty = 32;   // counts/heights recomputed
+constexpr uint8_t kMarkRoots = 64;   // root histogram re-filed
+
+int32_t slot_of(edge_id e) {
+  return e == kNoEdge ? kNoSlot : static_cast<int32_t>(e);
+}
+
 }  // namespace
 
 std::shared_ptr<const DendrogramSnapshot> ShardContraction::advance(
     DynSLD& sld, vertex_id base, const DendrogramSnapshot* prev,
     PatchStats& out) {
   out = PatchStats{};
-  if (!incremental_) return DendrogramSnapshot::build(sld, base);
+  pools_.drain();  // recycle what dropped epochs released since last time
+  if (!incremental_) return DendrogramSnapshot::build(sld, base, pools_);
   const Dendrogram::Journal& j = sld.structure_journal();
   // An empty previous shard (cold start, epoch 0) rebuilds without
   // counting as a viability fallback — there was nothing to patch.
   if (last_ && prev == last_.get() && prev->num_nodes() > 0 && j.enabled &&
       !j.overflowed) {
     if (auto snap = try_patch(sld, base, *prev, out)) return snap;
+    out = PatchStats{};
     out.fallback = true;
   }
   return rebuild(sld, base);
@@ -32,19 +45,27 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::advance(
 
 std::shared_ptr<const DendrogramSnapshot> ShardContraction::rebuild(
     DynSLD& sld, vertex_id base) {
-  std::vector<edge_id> ids;
-  auto snap = DendrogramSnapshot::build(sld, base, &ids);
-  adopt(sld, std::move(ids), snap);
+  std::shared_ptr<const DendrogramSnapshot> snap =
+      DendrogramSnapshot::build(sld, base, pools_);
+  adopt(sld, snap);
   return snap;
 }
 
-void ShardContraction::adopt(DynSLD& sld, std::vector<edge_id>&& ids,
+void ShardContraction::adopt(DynSLD& sld,
                              std::shared_ptr<const DendrogramSnapshot> snap) {
-  ids_ = std::move(ids);
-  slot_of_.assign(sld.dendrogram().capacity(), kNoSlot);
-  for (size_t i = 0; i < ids_.size(); ++i)
-    slot_of_[ids_[i]] = static_cast<int32_t>(i);
-  sld.enable_structure_journal(journal_cap(ids_.size()));
+  const DendrogramSnapshot& s = *snap;
+  height_.assign(s.slot_capacity(), 0);
+  root_hist_.clear();
+  for (int32_t x : s.rank_order()) {  // children rank below parents
+    const int32_t p = s.node(x).parent;
+    if (p != kNoSlot) {
+      height_[p] = std::max(height_[p], height_[x] + 1);
+    } else {
+      if (root_hist_.size() <= height_[x]) root_hist_.resize(height_[x] + 1);
+      ++root_hist_[height_[x]];
+    }
+  }
+  sld.enable_structure_journal(journal_cap(s.num_nodes()));
   last_ = std::move(snap);
 }
 
@@ -56,346 +77,320 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
   const size_t m_old = prev.num_nodes();
   assert(base == prev.base());
 
+  const size_t cap = std::max(d.capacity(), prev.slot_capacity());
+  if (mark_.size() < cap) mark_.resize(cap, 0);
+  marked_.clear();
+  auto mark = [&](int32_t x, uint8_t bit) {
+    if (!mark_[x]) marked_.push_back(x);
+    mark_[x] |= bit;
+  };
+  // Every exit clears the stamps it set.
+  struct Unmark {
+    std::vector<uint8_t>& mark;
+    std::vector<int32_t>& marked;
+    ~Unmark() {
+      for (int32_t x : marked) mark[x] = 0;
+    }
+  } unmark{mark_, marked_};
+
   // 1. Reconcile the raw journal into disjoint edit sets against the
   //    live dendrogram: `added` = journal-added ids still alive;
-  //    `removed_slots` = old slots whose node died (including the old
-  //    incarnation of re-added ids); `reparented` = survivors whose
-  //    parent pointer changed.
-  std::vector<edge_id> added(j.added);
-  std::sort(added.begin(), added.end());
-  added.erase(std::unique(added.begin(), added.end()), added.end());
-  std::erase_if(added, [&](edge_id e) { return !d.alive(e); });
-
-  std::vector<int32_t> removed_slots;
-  removed_slots.reserve(j.removed.size());
-  for (const Dendrogram::Journal::Removed& r : j.removed)
-    if (r.e < slot_of_.size() && slot_of_[r.e] != kNoSlot)
-      removed_slots.push_back(slot_of_[r.e]);
-  std::sort(removed_slots.begin(), removed_slots.end());
-  removed_slots.erase(
-      std::unique(removed_slots.begin(), removed_slots.end()),
-      removed_slots.end());
-
-  // The raw reparent log runs into the thousands for a small batch
-  // (erase replacements rewrite parents transiently), so dedup with
-  // edge-id stamps instead of a sort: O(raw) with the stamp buffer
-  // retained across epochs.
-  if (seen_.size() < d.capacity()) seen_.resize(d.capacity(), 0);
-  for (edge_id e : added) seen_[e] = 1;  // added ids are not reparents
-  std::vector<edge_id> reparented;
-  reparented.reserve(j.parent_changed.size());
-  for (edge_id e : j.parent_changed) {
-    if (!d.alive(e) || seen_[e]) continue;
-    seen_[e] = 1;
-    reparented.push_back(e);
+  //    `removed` = slots live in prev whose node died (including the
+  //    old incarnation of re-added ids); `reparented` = survivors whose
+  //    parent pointer was written.
+  std::vector<int32_t> added, removed, reparented;
+  for (edge_id e : j.added) {
+    const int32_t x = slot_of(e);
+    if (d.alive(e) && !(mark_[x] & kMarkAdded)) {
+      mark(x, kMarkAdded);
+      added.push_back(x);
+    }
   }
-  for (edge_id e : added) seen_[e] = 0;
-  for (edge_id e : reparented) seen_[e] = 0;
+  for (const Dendrogram::Journal::Removed& r : j.removed) {
+    const int32_t x = slot_of(r.e);
+    if (prev.live(x) && !(mark_[x] & kMarkRemoved)) {
+      mark(x, kMarkRemoved);
+      removed.push_back(x);
+    }
+  }
+  // The raw reparent log runs into the thousands for a small batch
+  // (erase replacements rewrite parents transiently): stamps dedup it.
+  for (edge_id e : j.parent_changed) {
+    const int32_t x = slot_of(e);
+    if (!d.alive(e) || (mark_[x] & (kMarkAdded | kMarkSeen))) continue;
+    mark(x, kMarkSeen);
+    reparented.push_back(x);
+  }
 
-  // 2. Exact viability, re-verified at materialization (the journal cap
-  //    was only a loose pre-filter): a patch touching half the shard
-  //    cannot beat the rebuild — same shape as label_patch_viable.
-  const size_t changed_n =
-      added.size() + removed_slots.size() + reparented.size();
-  if (m_old == 0 || 2 * changed_n >= m_old) return nullptr;
-
-  // 3. Integrity: the reconciled sets must account for the live node
-  //    count exactly; anything else means a missed write.
-  const size_t m = m_old - removed_slots.size() + added.size();
+  // Exact viability, re-verified at materialization (the journal cap
+  // was only a loose pre-filter): a patch touching half the shard
+  // cannot beat the rebuild — same shape as label_patch_viable.
+  const size_t changed_n = added.size() + removed.size() + reparented.size();
+  if (2 * changed_n >= m_old) return nullptr;
+  // Integrity: the reconciled sets must account for the live node count
+  // exactly, and every re-parented survivor must have existed before;
+  // anything else means a missed write.
+  const size_t m = m_old - removed.size() + added.size();
   if (m != d.size()) return nullptr;
+  for (int32_t x : reparented)
+    if (!prev.live(x)) return nullptr;
 
   auto snap = std::shared_ptr<DendrogramSnapshot>(new DendrogramSnapshot());
   DendrogramSnapshot& s = *snap;
   s.n_ = prev.n_;
   s.base_ = base;
-  // The merged arrays append into reserved storage (run inserts are
-  // memcpy-grade and touch each page once); parent_ is sized up front
-  // because step 6 fills it out of slot order.
-  s.u_.reserve(m);
-  s.v_.reserve(m);
-  s.weight_.reserve(m);
-  s.parent_.resize(m);
+  s.m_ = m;
+  s.levels_ = prev.levels_;
+  s.nodes_ = ChunkTable(prev.nodes_);  // shared; written copy-on-write
+  s.hooks_ = ChunkTable(prev.hooks_);
+  s.lift_ = ChunkTable(prev.lift_);
+  s.grow_slots(d.capacity());
+  if (height_.size() < s.slot_capacity()) height_.resize(s.slot_capacity(), 0);
 
-  // 4. Rank merge of the surviving old slots (already sorted — this
-  //    replaces the fresh build's O(m log m) sort) with the added
-  //    nodes, producing the new slot order plus both remaps. Both
-  //    sides are sorted, so one streamed scan over the old order finds
-  //    every insertion point; everything between two edit points then
-  //    block-copies, so the merge costs O(m) in sequential memory.
-  // Rank keys fetched once (d.rank walks the node table; the sort's
-  // comparator would re-read it per compare).
-  std::vector<std::pair<Rank, edge_id>> akeys;
-  akeys.reserve(added.size());
-  for (edge_id e : added) akeys.emplace_back(d.rank(e), e);
-  std::sort(akeys.begin(), akeys.end());
-  for (size_t a = 0; a < added.size(); ++a) added[a] = akeys[a].second;
-  std::vector<size_t> ipos(added.size());
-  {
-    // Successive insertion points are non-decreasing, so each search
-    // gallops forward from the last one and binary-searches the landed
-    // range: O(edits log gap) probes instead of a scan over m.
-    // Weights decide almost every probe; the id tiebreak array is only
-    // touched on exact weight collisions, halving the cold reads.
-    auto old_below = [&](size_t idx, const Rank& r) {
-      const double w = prev.weight_[idx];
-      if (w != r.weight) return w < r.weight;
-      return ids_[idx] < r.id;
-    };
-    size_t lo = 0;
-    for (size_t a = 0; a < added.size(); ++a) {
-      const Rank& ar = akeys[a].first;
-      size_t step = 1, hi = lo;
-      while (hi < m_old && old_below(hi, ar)) {
-        lo = hi + 1;
-        hi = lo + step - 1;
-        step *= 2;
-      }
-      hi = std::min(hi, m_old);
-      while (lo < hi) {
-        const size_t mid = (lo + hi) / 2;
-        if (old_below(mid, ar))
-          lo = mid + 1;
-        else
-          hi = mid;
-      }
-      ipos[a] = lo;  // first old slot ranked above the added node
-    }
-  }
-
-  // 5. (fused into the merge walk) Edge-id -> slot map: clear every id
-  //    that died up front; the walk then writes the shifted position of
-  //    each live node as it places it.
-  if (slot_of_.size() < d.capacity()) slot_of_.resize(d.capacity(), kNoSlot);
-  for (const Dendrogram::Journal::Removed& r : j.removed)
-    if (r.e < slot_of_.size()) slot_of_[r.e] = kNoSlot;
-
-  remap_.resize(m_old);
-  old_of_.resize(m);
-  runs_.clear();
-  std::vector<edge_id> new_ids;
-  new_ids.reserve(m);
-  size_t ri = 0, ai = 0, so = 0;
-  auto place_added = [&] {
-    const edge_id e = added[ai++];
-    const Dendrogram::Node& nd = d.node(e);
-    const int32_t w = static_cast<int32_t>(new_ids.size());
-    new_ids.push_back(e);
-    s.u_.push_back(nd.u + base);
-    s.v_.push_back(nd.v + base);
-    s.weight_.push_back(nd.weight);
-    old_of_[w] = -1;
-    slot_of_[e] = w;
-  };
-  while (so < m_old) {
-    while (ai < added.size() && ipos[ai] == so) place_added();
-    if (ri < removed_slots.size() &&
-        removed_slots[ri] == static_cast<int32_t>(so)) {
-      remap_[so] = kRemovedSlot;
-      ++ri;
-      ++so;
-      continue;
-    }
-    size_t end = m_old;  // run of untouched survivors: block-copy it
-    if (ai < added.size()) end = std::min(end, ipos[ai]);
-    if (ri < removed_slots.size())
-      end = std::min(end, static_cast<size_t>(removed_slots[ri]));
-    const size_t len = end - so;
-    const size_t w = new_ids.size();
-    runs_.push_back({static_cast<int32_t>(so), static_cast<int32_t>(w),
-                     static_cast<int32_t>(len)});
-    new_ids.insert(new_ids.end(), ids_.begin() + so, ids_.begin() + end);
-    s.u_.insert(s.u_.end(), prev.u_.begin() + so, prev.u_.begin() + end);
-    s.v_.insert(s.v_.end(), prev.v_.begin() + so, prev.v_.begin() + end);
-    s.weight_.insert(s.weight_.end(), prev.weight_.begin() + so,
-                     prev.weight_.begin() + end);
-    for (size_t t = 0; t < len; ++t) {
-      remap_[so + t] = static_cast<int32_t>(w + t);
-      old_of_[w + t] = static_cast<int32_t>(so + t);
-      slot_of_[ids_[so + t]] = static_cast<int32_t>(w + t);
-    }
-    so = end;
-  }
-  while (ai < added.size()) place_added();
-  assert(new_ids.size() == m);
-
-  // 6. Parent pointers: survivors remap-copy; slots with genuinely new
-  //    structure (added nodes + reparented survivors) read the live
-  //    dendrogram. A survivor whose remapped parent was removed is by
-  //    the detach-before-remove invariant always in `reparented`, so
-  //    the transient kRemovedSlot is always overwritten.
-  for (size_t i = 0; i < m; ++i) {
-    const int32_t oi = old_of_[i];
-    if (oi < 0) continue;
-    const int32_t op = prev.parent_[oi];
-    s.parent_[i] = op == kNoSlot ? kNoSlot : remap_[op];
-  }
+  // 2. Node records. `changed` = slots whose parent differs from the
+  //    previous epoch's (added nodes included): the contraction rounds'
+  //    seeds. A survivor whose parent id was freed and re-added this
+  //    epoch has a new parent node under the same slot, so it counts
+  //    as changed too.
   std::vector<int32_t> changed;
   changed.reserve(added.size() + reparented.size());
-  for (edge_id e : added) {
-    const int32_t sl = slot_of_[e];
-    const Dendrogram::Node& nd = d.node(e);
-    s.parent_[sl] = nd.parent == kNoEdge ? kNoSlot : slot_of_[nd.parent];
-    changed.push_back(sl);
+  for (int32_t x : removed)
+    if (!(mark_[x] & kMarkAdded))
+      s.node_mut(x) = DendrogramSnapshot::kFreeNode;
+  for (int32_t x : added) {
+    const Dendrogram::Node& dn = d.node(x);
+    DendrogramSnapshot::Node& nd = s.node_mut(x);
+    nd = DendrogramSnapshot::Node{dn.u + base, dn.v + base, dn.weight,
+                                  slot_of(dn.parent), {kNoSlot, kNoSlot},
+                                  0, 0};
+    DendrogramSnapshot::set_children(nd, d, dn);
+    changed.push_back(x);
   }
   // Journaled parent writes mostly cancel out over a batch: an erase
   // replacement detaches and reattaches whole subtrees transiently, so
-  // the raw reparent list runs 10-100x larger than the net edit. Only
-  // survivors whose parent slot actually differs from the remap-copied
-  // previous value seed the contraction rounds below.
-  for (edge_id e : reparented) {
-    const int32_t sl = slot_of_[e];
-    const Dendrogram::Node& nd = d.node(e);
-    const int32_t np = nd.parent == kNoEdge ? kNoSlot : slot_of_[nd.parent];
-    if (s.parent_[sl] == np) continue;
-    s.parent_[sl] = np;
-    changed.push_back(sl);
+  // the raw reparent list runs 10-100x larger than the net edit.
+  for (int32_t x : reparented) {
+    const int32_t np = slot_of(d.node(x).parent);
+    if (np == prev.node(x).parent &&
+        (np == kNoSlot || !(mark_[np] & kMarkAdded)))
+      continue;
+    s.node_mut(x).parent = np;
+    changed.push_back(x);
   }
-#ifndef NDEBUG
-  for (size_t i = 0; i < m; ++i)
-    assert(s.parent_[i] == kNoSlot || s.parent_[i] > static_cast<int32_t>(i));
-#endif
+  // Child slots: every node that gained or lost a child re-reads its
+  // pair from the dendrogram (added nodes already did).
+  std::vector<int32_t> kids;
+  auto kid_dirty = [&](int32_t p) {
+    if (p == kNoSlot || !d.alive(p) || (mark_[p] & (kMarkAdded | kMarkKids)))
+      return;
+    mark(p, kMarkKids);
+    kids.push_back(p);
+  };
+  for (int32_t x : changed) {
+    if (prev.live(x)) kid_dirty(prev.node(x).parent);
+    kid_dirty(s.node(x).parent);
+  }
+  for (int32_t x : removed) kid_dirty(prev.node(x).parent);
+  for (int32_t p : kids) {
+    DendrogramSnapshot::set_children(s.node_mut(p), d, d.node(p));
+  }
 
-  // 7. Leaf hooks: value-remap the previous epoch's e*_v slots, then
-  //    re-resolve only vertices whose incident edge set changed (the
-  //    endpoints of added/removed nodes).
-  s.leaf_parent_.resize(s.n_);
-  for (vertex_id v = 0; v < s.n_; ++v) {
-    const int32_t lp = prev.leaf_parent_[v];
-    s.leaf_parent_[v] = lp == kNoSlot ? kNoSlot : remap_[lp];
-  }
-  if (vmoved_.size() < s.n_) vmoved_.resize(s.n_, 0);
-  std::vector<vertex_id> vtouched;  // stamped vertices, to clear below
+  // Leaf hooks: re-resolve only vertices whose incident edge set
+  // changed (the endpoints of added/removed nodes). A moved hook
+  // changes the leaf counts of its old and new node.
+  std::vector<int32_t> hooked;
+  if (vmark_.size() < s.n_) vmark_.resize(s.n_, 0);
+  std::vector<vertex_id> vtouched;
   auto retop = [&](vertex_id v) {
     // Endpoints shared by several edits re-resolve once — each resolve
     // splays inside the dynamic forest, so the stamp saves real work.
-    if (vmoved_[v]) return;
-    vmoved_[v] = 1;
+    if (vmark_[v]) return;
+    vmark_[v] = 1;
     vtouched.push_back(v);
-    const edge_id e = sld.min_incident_edge(v);
-    s.leaf_parent_[v] = e == kNoEdge ? kNoSlot : slot_of_[e];
+    const int32_t now = slot_of(sld.min_incident_edge(v));
+    const int32_t was = prev.hook(v);
+    if (now == was) return;
+    s.hook_mut(v) = now;
+    // Leaf bits move with the hook (added nodes are re-derived below).
+    if (was != kNoSlot && d.alive(was)) {
+      if (!(mark_[was] & kMarkAdded)) {
+        DendrogramSnapshot::Node& nd = s.node_mut(was);
+        nd.leaves &= ~DendrogramSnapshot::leaf_bit(nd, v + base);
+      }
+      hooked.push_back(was);
+    }
+    if (now != kNoSlot) {
+      if (!(mark_[now] & kMarkAdded)) {
+        DendrogramSnapshot::Node& nd = s.node_mut(now);
+        nd.leaves |= DendrogramSnapshot::leaf_bit(nd, v + base);
+      }
+      hooked.push_back(now);
+    }
   };
   for (const Dendrogram::Journal::Removed& r : j.removed) {
     retop(r.u);
     retop(r.v);
   }
-  for (edge_id e : added) {
-    const Dendrogram::Node& nd = d.node(e);
-    retop(nd.u);
-    retop(nd.v);
+  for (int32_t x : added) {
+    const Dendrogram::Node& dn = d.node(x);
+    retop(dn.u);
+    retop(dn.v);
   }
-  for (const vertex_id v : vtouched) vmoved_[v] = 0;
-#ifndef NDEBUG
-  for (vertex_id v = 0; v < s.n_; ++v)
-    assert(s.leaf_parent_[v] != kRemovedSlot);
-#endif
+  for (const vertex_id v : vtouched) vmark_[v] = 0;
+  for (int32_t x : added) {
+    DendrogramSnapshot::Node& nd = s.node_mut(x);
+    nd.leaves = (s.hook(nd.u - base) == x ? 1u : 0u) |
+                (s.hook(nd.v - base) == x ? 2u : 0u);
+  }
 
-  // 8. Child CSR / leaf CSR / counts: the exact code path the fresh
-  //    build runs, so the derived arrays match bit-for-bit. (A delta
-  //    fill that re-emitted surviving runs was measured 2x slower than
-  //    this counting sort — the sort is two tight streaming passes.)
-  s.derive_csr_and_counts();
-
-  // 9. Lifting table, the contraction rounds proper. Distance from each
-  //    slot to its nearest changed ancestor (inclusive) decides what
-  //    re-runs: entry (k, i) is row-copied from the previous table iff
-  //    dist[i] >= 2^k — its whole 2^k-hop chain then avoids changed
-  //    nodes, so the landing ancestor is the same node as last epoch.
-  //    The same descending sweep computes the max depth, sizing the
-  //    table through the formula the fresh build uses.
-  dist_.assign(m, kFar);
-  for (int32_t sl : changed) dist_[sl] = 0;
-  depth_.resize(m);
-  uint32_t maxd = 0;
-  for (size_t i = m; i-- > 0;) {
-    const int32_t p = s.parent_[i];
-    if (p != kNoSlot) {
-      depth_[i] = depth_[p] + 1;
-      if (dist_[i] != 0 && dist_[p] != kFar) dist_[i] = dist_[p] + 1;
+  // 3. Counts and heights, propagated upward from the nodes whose own
+  //    inputs changed (new records, child sets, leaf sets) in rank
+  //    order — children rank below their parents, so a min-heap on rank
+  //    finishes every child before its parent — and only as far as a
+  //    value actually moves: where a moved subtree's loss and gain meet,
+  //    the counts above are unchanged and the walk stops. The root
+  //    histogram re-files the nodes whose root status may have moved
+  //    (the changed and removed slots) and every root whose height did.
+  using RankKey = DendrogramSnapshot::RankKey;
+  auto by_rank = [](const RankKey& a, const RankKey& b) {
+    return DendrogramSnapshot::rank_less(a.w, a.s, b.w, b.s);
+  };
+  auto refile = [&](int32_t x, int delta) {
+    const uint32_t h = height_[x];
+    if (delta > 0) {
+      if (root_hist_.size() <= h) root_hist_.resize(h + 1, 0);
+      ++root_hist_[h];
     } else {
-      depth_[i] = 0;
+      --root_hist_[h];
     }
-    if (depth_[i] > maxd) maxd = depth_[i];
+  };
+  for (std::vector<int32_t>* set : {&changed, &removed})
+    for (int32_t x : *set) {
+      if (mark_[x] & kMarkRoots) continue;
+      mark(x, kMarkRoots);
+      if (prev.live(x) && prev.node(x).parent == kNoSlot) refile(x, -1);
+    }
+  for (int32_t x : removed)
+    if (!(mark_[x] & kMarkAdded)) height_[x] = 0;
+  std::vector<RankKey> heap;  // min-heap on rank (inverted comparator)
+  auto heap_after = [&](const RankKey& a, const RankKey& b) {
+    return by_rank(b, a);
+  };
+  auto dirty = [&](int32_t x) {
+    if (x == kNoSlot || (mark_[x] & kMarkDirty)) return;
+    mark(x, kMarkDirty);
+    heap.push_back({s.node(x).weight, x});
+    std::push_heap(heap.begin(), heap.end(), heap_after);
+  };
+  for (int32_t x : added) dirty(x);
+  for (int32_t x : kids) dirty(x);
+  for (int32_t x : hooked) dirty(x);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), heap_after);
+    const int32_t x = heap.back().s;
+    heap.pop_back();
+    const DendrogramSnapshot::Node& nd = s.node(x);
+    uint64_t count = (nd.leaves & 1) + (nd.leaves >> 1);
+    uint32_t h = 0;
+    for (int32_t c : nd.child) {
+      if (c == kNoSlot) continue;
+      count += s.node(c).count;
+      h = std::max(h, height_[c] + 1);
+    }
+    const int32_t p = nd.parent;
+    const bool moved = count != nd.count || h != height_[x];
+    if (h != height_[x] && p == kNoSlot && !(mark_[x] & kMarkRoots)) {
+      refile(x, -1);
+      height_[x] = h;
+      refile(x, +1);
+    }
+    height_[x] = h;
+    if (count != nd.count) s.node_mut(x).count = count;
+    if (moved) dirty(p);
   }
+  for (int32_t x : changed)
+    if (s.node(x).parent == kNoSlot) refile(x, +1);
+  while (!root_hist_.empty() && root_hist_.back() == 0) root_hist_.pop_back();
+  const uint32_t maxd =
+      root_hist_.empty() ? 0 : static_cast<uint32_t>(root_hist_.size() - 1);
 
-  s.levels_ = DendrogramSnapshot::levels_for_depth(maxd);
-  // Every row is written in full below (row 0 copies parent_, later
-  // rounds either gather or recompute all m entries), so rows append
-  // into reserved storage instead of paying a zero-fill pass over the
-  // whole table first. reserve() up front keeps data() stable.
-  s.up_.reserve(static_cast<size_t>(s.levels_) * m);
-  out.rounds_total = static_cast<uint32_t>(s.levels_);
-  out.nodes_patched = changed.size();  // round-0 writes (parent_ fixups)
-  if (m) {
-    s.up_.insert(s.up_.end(), s.parent_.begin(), s.parent_.end());
-    const int kcopy = std::min(s.levels_, prev.levels_);
-    // Bucket each slot by the first round whose copy is invalid for it
-    // (dist < 2^k <=> k >= bit_width(dist); changed slots start at 1).
-    if (rounds_.size() < static_cast<size_t>(s.levels_))
-      rounds_.resize(static_cast<size_t>(s.levels_));
-    for (Round& r : rounds_) r.bucket.clear();
-    for (size_t i = 0; i < m; ++i) {
-      if (dist_[i] == kFar) continue;
-      const int start = dist_[i] == 0 ? 1 : std::bit_width(dist_[i]);
-      if (start < s.levels_)
-        rounds_[start].bucket.push_back(static_cast<int32_t>(i));
-    }
-    active_.clear();
-    for (int k = 1; k < s.levels_; ++k) {
-      // Capacity is reserved above, so this append never reallocates:
-      // the row below stays valid while the new row is written in
-      // place, and each page is touched by the write itself.
-      s.up_.resize(static_cast<size_t>(k + 1) * m);
-      int32_t* const row = s.up_.data() + static_cast<size_t>(k) * m;
-      const int32_t* below = row - m;
-      bool rerun = k >= kcopy;  // no previous row at this height
-      if (!rerun) {
-        active_.insert(active_.end(), rounds_[k].bucket.begin(),
-                       rounds_[k].bucket.end());
-        // Once the active set covers half the shard, one recompute
-        // pass beats a full gather plus fixups over half the entries.
-        rerun = 2 * active_.size() >= m;
-      }
-      if (rerun) {
-        // Whole round re-runs off the finished round below it.
-        for (size_t i = 0; i < m; ++i) {
-          const int32_t half = below[i];
-          row[i] = half == kNoSlot ? kNoSlot : below[half];
-        }
-        ++out.rounds_rerun;
-        out.nodes_patched += m;
-      } else {
-        // Row gather reads only the previous epoch's table: an entry
-        // whose 2^k-hop chain avoids every changed node lands on the
-        // same ancestor as last epoch, so the remapped copy is final.
-        // Streaming the merge's survivor runs keeps both row accesses
-        // sequential; only the value remap is a random (L1-resident)
-        // read. Added slots have dist 0 — every one is in active_, so
-        // the fixup pass below overwrites their placeholder.
-        const int32_t* old_row =
-            prev.up_.data() + static_cast<size_t>(k) * m_old;
-        for (edge_id e : added) row[slot_of_[e]] = kRemovedSlot;
-        for (const Run& r : runs_) {
-          const int32_t* src = old_row + r.old_start;
-          int32_t* dst = row + r.new_start;
-          for (int32_t t = 0; t < r.len; ++t) {
-            const int32_t ov = src[t];
-            dst[t] = ov == kNoSlot ? kNoSlot : remap_[ov];
+  // 4. Lifting table, the contraction rounds proper. Entry (k, x) is
+  //    kept from the previous epoch iff x's first 2^k hops avoid every
+  //    changed node — then the landing ancestor is the same node. The
+  //    others are the changed set's descendants within 2^k - 1 hops,
+  //    grown here one child layer per hop (each node is reached once,
+  //    from its parent, so the walk is linear in what it visits).
+  const int lv_old = prev.levels_;
+  const int lv_new = DendrogramSnapshot::levels_for_depth(maxd);
+  if (lv_new != lv_old) s.relayout_lift(pools_, lv_new);
+  const int kcopy = std::min(lv_new, lv_old);
+  out.rounds_total = static_cast<uint32_t>(lv_new);
+  out.nodes_patched = changed.size();  // round-0 writes (parent slots)
+  bfs_.clear();
+  for (int32_t x : changed) {
+    mark(x, kMarkActive);
+    bfs_.push_back(x);
+  }
+  size_t layer_begin = 0;  // bfs_[layer_begin..] = the deepest layer
+  uint32_t reach = 0;      // bfs_ holds every x with dist(x) <= reach
+  bool whole = false;
+  for (int k = 1; k < lv_new; ++k) {
+    bool rerun = whole || k >= kcopy;  // no previous row at this height
+    if (!rerun) {
+      const uint32_t want = (uint32_t{1} << k) - 1;
+      while (reach < want && layer_begin < bfs_.size() &&
+             2 * bfs_.size() < m) {
+        const size_t layer_end = bfs_.size();
+        for (size_t i = layer_begin; i < layer_end; ++i) {
+          for (int32_t c : s.node(bfs_[i]).child) {
+            if (c == kNoSlot || (mark_[c] & kMarkActive)) continue;
+            mark(c, kMarkActive);
+            bfs_.push_back(c);
           }
         }
-        for (const int32_t i : active_) {
-          const int32_t half = below[i];
-          row[i] = half == kNoSlot ? kNoSlot : below[half];
-        }
-        out.nodes_patched += active_.size();
+        layer_begin = layer_end;
+        ++reach;
       }
+      // Once the active set covers half the shard, one recompute pass
+      // beats patching half the entries one by one.
+      rerun = whole = 2 * bfs_.size() >= m;
     }
+    if (rerun) {
+      s.recompute_row(k, below_);
+      ++out.rounds_rerun;
+      out.nodes_patched += m;
+      continue;
+    }
+    for (int32_t x : bfs_) {
+      const int32_t half = s.up(k - 1, x);
+      const int32_t val = half == kNoSlot ? kNoSlot : s.up(k - 1, half);
+      if (val != s.up(k, x)) s.up_mut(k, x) = val;
+    }
+    out.nodes_patched += bfs_.size();
   }
 
-  // 10. Re-arm for the next epoch.
-  ids_ = std::move(new_ids);
+  // 5. Rank sequence: removed keys out (at their old weight), added
+  //    keys in.
+  std::vector<RankKey> del, ins;
+  del.reserve(removed.size());
+  ins.reserve(added.size());
+  for (int32_t x : removed) del.push_back({prev.node(x).weight, x});
+  for (int32_t x : added) ins.push_back({s.node(x).weight, x});
+  std::sort(del.begin(), del.end(), by_rank);
+  std::sort(ins.begin(), ins.end(), by_rank);
+  const size_t rank_shared = s.edit_rank(prev, del, ins);
+
+  // Sharing, counted by identity: every chunk of the new snapshot that
+  // is not the previous epoch's own was written by this patch.
+  out.chunks_shared = s.nodes_.shared_with(prev.nodes_) +
+                      s.hooks_.shared_with(prev.hooks_) +
+                      s.lift_.shared_with(prev.lift_) + rank_shared;
+  out.chunks_cloned = s.num_chunks() - out.chunks_shared;
+
+  // Re-arm for the next epoch.
+  out.patched = true;
   sld.enable_structure_journal(journal_cap(m));
   last_ = snap;
-  out.patched = true;
   return snap;
 }
 

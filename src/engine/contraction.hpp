@@ -1,47 +1,46 @@
-// Incremental per-shard snapshot builds: retained contraction-round
-// state + copy-on-write patching of the rank-sorted DendrogramSnapshot.
+// Incremental per-shard snapshot builds: change propagation over the
+// stable-slot, chunk-shared DendrogramSnapshot.
 //
-// A flush used to rebuild every dirty shard's snapshot from scratch:
-// O(m log m) to re-sort the alive nodes by rank plus O(m log m) to
-// refill the binary-lifting table — the dominant write-stall at serving
-// scale, paid even when the batch touched a handful of edges. This
-// module makes the dirty-shard build cost proportional to the batch's
-// structural footprint instead (psac-style self-adjusting computation:
-// keep the per-round state of the previous run, re-execute only the
-// rounds whose inputs changed).
+// The paper's updates cost time in proportion to the part of the
+// dendrogram a batch touches; a flush should too. Snapshot slots are
+// dendrogram node ids (engine/snapshot.hpp), so a node that did not
+// change keeps its slot, its record and every lifting entry whose
+// chain avoids the change, wherever the rest of the shard's nodes
+// moved in rank. A patched build therefore starts from a chunk-sharing copy
+// of the previous epoch's snapshot (pointer-table copies, no payload)
+// and writes only what the batch changed, cloning each chunk it writes
+// once:
 //
-// ShardContraction retains, per shard, across epochs:
-//   - the slot -> edge-id order the previous snapshot chose (and its
-//     inverse), so the dendrogram's structural-change journal — raw
-//     node adds / removes / re-parentings recorded by the batch
-//     algorithms themselves — translates into slot-space edits;
-//   - cache-aligned per-round node buckets for the lifting table: round
-//     k re-runs only for nodes within distance 2^k of a structural
-//     change, everything else row-copies (remap-gathered) from the
-//     previous epoch's table.
+//   1. reconcile the dendrogram's structural-change journal — raw node
+//      adds / removes / re-parentings recorded by the batch algorithms
+//      themselves — against the live dendrogram into disjoint added /
+//      removed / net-re-parented node sets, and re-check patch
+//      viability exactly (too much churn falls back to the fresh
+//      build, like `label_patch_viable` is re-verified when labels
+//      materialize);
+//   2. write the added, freed and re-parented node records, the child
+//      slots of every node that gained or lost a child, and the leaf
+//      hooks of the vertices whose incident edge set changed;
+//   3. propagate subtree counts and heights upward from the nodes whose
+//      own inputs changed, in rank order and only as far as a value
+//      moves; a per-height histogram of the roots yields the deepest
+//      chain, hence the lifting table's height, without an O(m) depth
+//      sweep;
+//   4. run the contraction rounds: entry (k, x) of the lifting table is
+//      recomputed only when a changed node sits within 2^k hops above x
+//      — the changed set's descendants to that depth, found by walking
+//      down the child slots one layer per hop. Once a round's active
+//      set reaches half the shard, the whole round re-runs instead;
+//   5. apply the added/removed keys to the rank sequence, sharing every
+//      block no key lands in.
 //
-// A patched build then:
-//   1. reconciles the journal against the live dendrogram into disjoint
-//      added / removed / re-parented node sets;
-//   2. re-checks patch viability exactly at materialization (the
-//      journal's cap is a loose pre-filter, like `label_patch_viable`
-//      is re-verified when labels actually materialize) — too much
-//      churn falls back to the fresh build;
-//   3. rank-merges the surviving slots with the added nodes (the old
-//      order is already sorted: a linear merge replaces the O(m log m)
-//      sort), remapping every slot-valued array copy-on-write;
-//   4. recomputes per-vertex leaf hooks only for vertices whose
-//      incident edge set changed, and re-derives the CSR/count arrays
-//      through the exact code path the fresh build uses;
-//   5. patches the lifting table per round as above.
-//
-// The output is bit-identical to DendrogramSnapshot::build on the same
-// dendrogram — by construction for the derived arrays (shared helper)
-// and by the dist-to-changed-ancestor argument for the lifting rows
-// (an entry is row-copied only when its whole 2^k-hop chain avoids
-// changed nodes, in which case the ancestor is unchanged too). The
-// engine's fuzz harness pins this byte-for-byte through SnapshotCodec
-// across randomized schedules, including through persist::recover().
+// The output is answer- and byte-identical to DendrogramSnapshot::build
+// on the same dendrogram: entries outside the recomputed sets provably
+// equal the fresh values (an entry's 2^k-hop chain that avoids every
+// changed node lands on the same ancestor as last epoch), and the codec
+// derives the canonical rank-ordered bytes from either. The engine's
+// fuzz harness pins this byte-for-byte through SnapshotCodec across
+// randomized schedules, including through persist::recover().
 #pragma once
 
 #include <cstdint>
@@ -58,18 +57,16 @@ namespace dynsld::engine {
 /// thread-safe (the router builds each shard from one task).
 class ShardContraction {
  public:
-  /// Slot sentinel distinct from DendrogramSnapshot::kNoSlot: the old
-  /// slot was removed this epoch (remap targets only).
-  static constexpr int32_t kRemovedSlot = -2;
-
   /// Outcome of one advance(), surfaced into EpochDelta / EngineStats.
   struct PatchStats {
     bool patched = false;        // false: fresh rebuild
     bool fallback = false;       // viability re-check failed at
                                  // materialization (counted rebuilt)
     uint32_t rounds_total = 0;   // lifting rounds in the new table
-    uint32_t rounds_rerun = 0;   // rounds recomputed rather than copied
+    uint32_t rounds_rerun = 0;   // rounds recomputed whole, not patched
     uint64_t nodes_patched = 0;  // per-round node entries recomputed
+    uint64_t chunks_cloned = 0;  // chunks the patch wrote (clones + new)
+    uint64_t chunks_shared = 0;  // chunks shared with the previous epoch
   };
 
   /// `incremental` off = always delegate to the fresh build and never
@@ -101,42 +98,25 @@ class ShardContraction {
   /// exact check runs at materialization).
   static size_t journal_cap(size_t m) { return 2 * m + 64; }
 
-  /// Re-arm bookkeeping after a successful build of `snap` whose slot
-  /// order is `ids` (moved in).
-  void adopt(DynSLD& sld, std::vector<edge_id>&& ids,
-             std::shared_ptr<const DendrogramSnapshot> snap);
+  /// Re-arm after a fresh build: derive the subtree heights and the
+  /// root-height histogram of `snap`, enable the journal.
+  void adopt(DynSLD& sld, std::shared_ptr<const DendrogramSnapshot> snap);
 
   bool incremental_;
-  // Retained across epochs: the previous snapshot's slot order, its
-  // inverse (edge id -> slot), and the snapshot itself (pointer
-  // identity = validity).
-  std::vector<edge_id> ids_;
-  std::vector<int32_t> slot_of_;
+  /// The shard's chunk free lists (shared with every snapshot built).
+  DendrogramSnapshot::Pools pools_;
+  /// The snapshot built last; pointer identity = validity of the state
+  /// below, which describes exactly this snapshot.
   std::shared_ptr<const DendrogramSnapshot> last_;
+  std::vector<uint32_t> height_;     // slot -> subtree height (node hops)
+  std::vector<uint32_t> root_hist_;  // height -> roots of that height
 
-  // Per-round node buckets for the lifting-table patch, cache-aligned
-  // per round (psac idiom) and retained across epochs so steady-state
-  // patches do not reallocate.
-  struct alignas(64) Round {
-    std::vector<int32_t> bucket;  // slots whose re-run starts this round
-  };
-  std::vector<Round> rounds_;
   // Reusable scratch (sized to the shard, allocated once).
-  std::vector<int32_t> remap_;    // old slot -> new slot / kRemovedSlot
-  std::vector<int32_t> old_of_;   // new slot -> old slot / -1 (added)
-  /// Survivor runs of the rank merge: `len` consecutive old slots from
-  /// `old_start` landed at `new_start`. The lifting-table gather streams
-  /// these instead of dereferencing old_of_ per entry — the same
-  /// information, but the access pattern is explicit block copies.
-  struct Run {
-    int32_t old_start, new_start, len;
-  };
-  std::vector<Run> runs_;
-  std::vector<uint32_t> dist_;    // new slot -> hops to changed ancestor
-  std::vector<int32_t> active_;   // cumulative re-run list across rounds
-  std::vector<uint8_t> seen_;     // edge-id stamps for journal dedup
-  std::vector<uint32_t> depth_;   // scratch for the fused dist/depth pass
-  std::vector<uint8_t> vmoved_;   // vertex stamps: e*_v re-resolved this epoch
+  std::vector<uint8_t> mark_;   // slot stamps (kMark* bits), cleared after use
+  std::vector<uint8_t> vmark_;  // vertex stamps: e*_v re-resolved
+  std::vector<int32_t> marked_;  // slots with a nonzero stamp
+  std::vector<int32_t> bfs_;     // changed set + descendants, by hop count
+  std::vector<int32_t> below_;   // whole-round recompute: the row below
 };
 
 }  // namespace dynsld::engine

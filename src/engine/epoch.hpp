@@ -106,10 +106,10 @@ struct EpochDelta {
   std::vector<char> shard_rebuilt;
   /// Per-shard materialization record for the shards this epoch rebuilt
   /// (clean shards keep the zero record): whether the incremental
-  /// builder patched the previous arrays copy-on-write or rebuilt from
-  /// scratch, and — when it patched — how many contraction rounds
-  /// re-ran vs row-copied and how many per-round node entries were
-  /// recomputed. The patch-vs-rebuild gate is re-verified at
+  /// builder patched the previous snapshot copy-on-write or rebuilt
+  /// from scratch, and — when it patched — how many contraction rounds
+  /// re-ran whole (the rest were patched entry by entry) and how many
+  /// per-round node entries were recomputed. The patch-vs-rebuild gate is re-verified at
   /// materialization exactly like label_patch_viable below; `fallback`
   /// records the re-check failing after the journal pre-filter passed.
   struct ShardPatch {

@@ -172,6 +172,7 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
   }
   uint64_t patched = 0, fallbacks = 0;
   uint64_t rounds_total = 0, rounds_rerun = 0, nodes_patched = 0;
+  uint64_t chunks_cloned = 0, chunks_shared = 0;
   for (size_t k = 0; k < shards_.size(); ++k) {
     if (prev && !dirty_[k]) {
       ++reused;
@@ -189,6 +190,8 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
         rounds_total += ps.rounds_total;
         rounds_rerun += ps.rounds_rerun;
         nodes_patched += ps.nodes_patched;
+        chunks_cloned += ps.chunks_cloned;
+        chunks_shared += ps.chunks_shared;
       }
       if (ps.fallback) ++fallbacks;
     }
@@ -236,6 +239,10 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
                                                std::memory_order_relaxed);
     stats_->contraction_nodes_patched.fetch_add(nodes_patched,
                                                 std::memory_order_relaxed);
+    stats_->shard_chunks_cloned.fetch_add(chunks_cloned,
+                                          std::memory_order_relaxed);
+    stats_->shard_chunks_shared.fetch_add(chunks_shared,
+                                          std::memory_order_relaxed);
     stats_->epochs_published.fetch_add(1, std::memory_order_relaxed);
   }
   return snap;

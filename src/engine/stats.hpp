@@ -51,8 +51,10 @@ namespace dynsld::engine {
   X(shard_snapshots_patched) /* built by COW-patching the prev arrays */  \
   X(shard_patch_fallbacks)   /* patch gate failed at materialization */   \
   X(contraction_rounds_total)  /* lifting rounds across patched builds */ \
-  X(contraction_rounds_rerun)  /* rounds recomputed (not row-copied) */   \
+  X(contraction_rounds_rerun)  /* rounds recomputed whole */             \
   X(contraction_nodes_patched) /* per-round node entries recomputed */    \
+  X(shard_chunks_cloned)     /* snapshot chunks patches wrote */          \
+  X(shard_chunks_shared)     /* chunks patches shared with prev epoch */  \
   /* -- query front-end -- */                                             \
   X(q_same_cluster)                                                       \
   X(q_cluster_size)                                                       \
@@ -397,12 +399,15 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
   if (r.shard_snapshots_patched || r.shard_patch_fallbacks)
     std::fprintf(out,
                  "shard patching: %llu patched (%llu fallbacks)  rounds %llu "
-                 "rerun / %llu total  %llu nodes patched\n",
+                 "rerun / %llu total  %llu nodes patched  chunks %llu "
+                 "cloned / %llu shared\n",
                  (unsigned long long)r.shard_snapshots_patched,
                  (unsigned long long)r.shard_patch_fallbacks,
                  (unsigned long long)r.contraction_rounds_rerun,
                  (unsigned long long)r.contraction_rounds_total,
-                 (unsigned long long)r.contraction_nodes_patched);
+                 (unsigned long long)r.contraction_nodes_patched,
+                 (unsigned long long)r.shard_chunks_cloned,
+                 (unsigned long long)r.shard_chunks_shared);
   if (r.labels_rebuilt || r.labels_patched || r.labels_reused)
     std::fprintf(out,
                  "flat labels: %llu rebuilt / %llu patched / %llu reused\n",

@@ -24,20 +24,23 @@ constexpr uint32_t kVersion = 2;
 
 void SnapshotCodec::encode_shard(const engine::DendrogramSnapshot& d,
                                  ByteWriter& out) {
-  out.u32(d.n_);
-  out.u32(d.base_);
-  out.pod_vec(d.u_);
-  out.pod_vec(d.v_);
-  out.pod_vec(d.weight_);
-  out.pod_vec(d.parent_);
-  out.pod_vec(d.count_);
-  out.pod_vec(d.leaf_parent_);
-  out.pod_vec(d.child_off_);
-  out.pod_vec(d.child_list_);
-  out.pod_vec(d.leaf_off_);
-  out.pod_vec(d.leaf_list_);
-  out.u32(static_cast<uint32_t>(d.levels_));
-  out.pod_vec(d.up_);
+  // The canonical rank-ordered form: identical bytes for any two
+  // snapshots of the same dendrogram, whatever slots they use.
+  const engine::DendrogramSnapshot::Canonical c = d.canonical();
+  out.u32(c.n);
+  out.u32(c.base);
+  out.pod_vec(c.u);
+  out.pod_vec(c.v);
+  out.pod_vec(c.weight);
+  out.pod_vec(c.parent);
+  out.pod_vec(c.count);
+  out.pod_vec(c.leaf_parent);
+  out.pod_vec(c.child_off);
+  out.pod_vec(c.child_list);
+  out.pod_vec(c.leaf_off);
+  out.pod_vec(c.leaf_list);
+  out.u32(static_cast<uint32_t>(c.levels));
+  out.pod_vec(c.up);
 }
 
 void SnapshotCodec::encode(const engine::EngineSnapshot& snap,
@@ -100,23 +103,24 @@ engine::EpochManager::Snap SnapshotCodec::decode(
     return nullptr;
   snap->shards_.reserve(snap->map_.num_shards);
   for (int k = 0; k < snap->map_.num_shards; ++k) {
-    auto d = std::shared_ptr<engine::DendrogramSnapshot>(
-        new engine::DendrogramSnapshot());
-    d->n_ = in.u32();
-    d->base_ = in.u32();
-    d->u_ = in.pod_vec<vertex_id>();
-    d->v_ = in.pod_vec<vertex_id>();
-    d->weight_ = in.pod_vec<double>();
-    d->parent_ = in.pod_vec<int32_t>();
-    d->count_ = in.pod_vec<uint64_t>();
-    d->leaf_parent_ = in.pod_vec<int32_t>();
-    d->child_off_ = in.pod_vec<uint32_t>();
-    d->child_list_ = in.pod_vec<uint32_t>();
-    d->leaf_off_ = in.pod_vec<uint32_t>();
-    d->leaf_list_ = in.pod_vec<uint32_t>();
-    d->levels_ = static_cast<int>(in.u32());
-    d->up_ = in.pod_vec<int32_t>();
+    engine::DendrogramSnapshot::Canonical c;
+    c.n = in.u32();
+    c.base = in.u32();
+    c.u = in.pod_vec<vertex_id>();
+    c.v = in.pod_vec<vertex_id>();
+    c.weight = in.pod_vec<double>();
+    c.parent = in.pod_vec<int32_t>();
+    c.count = in.pod_vec<uint64_t>();
+    c.leaf_parent = in.pod_vec<int32_t>();
+    c.child_off = in.pod_vec<uint32_t>();
+    c.child_list = in.pod_vec<uint32_t>();
+    c.leaf_off = in.pod_vec<uint32_t>();
+    c.leaf_list = in.pod_vec<uint32_t>();
+    c.levels = static_cast<int>(in.u32());
+    c.up = in.pod_vec<int32_t>();
     if (!in.ok()) return nullptr;
+    auto d = engine::DendrogramSnapshot::from_canonical(c);
+    if (!d) return nullptr;
     snap->shards_.push_back(std::move(d));
   }
   snap->cross_ = std::make_shared<const engine::CrossEdgeView>(

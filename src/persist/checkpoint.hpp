@@ -13,10 +13,11 @@
 //     engine, not a frozen replica. Ticket order is insertion order,
 //     which keeps the endpoint ledger's "erase the most recent copy"
 //     resolution identical after recovery;
-//   - the FROZEN SNAPSHOT (per-shard rank-sorted CSR DendrogramSnapshot
-//     arrays + cross-edge table + epoch/delta/trace metadata), encoded
-//     by SnapshotCodec: byte-exact rehydration for AsOf{epoch} queries
-//     at the checkpoint epoch, no replay required.
+//   - the FROZEN SNAPSHOT (each shard's DendrogramSnapshot in its
+//     canonical rank-ordered form + cross-edge table + epoch/delta/
+//     trace metadata), encoded by SnapshotCodec: byte-exact
+//     rehydration for AsOf{epoch} queries at the checkpoint epoch, no
+//     replay required.
 //
 //   checkpoint file  ckpt-<epoch>.bin
 //     header   "DSLDCKP1" (8 B magic)  u32 version
@@ -59,12 +60,17 @@ struct SnapshotCodec {
   /// Serialize `snap` (shards, cross table, delta, trace, captured
   /// edges) into `out`.
   static void encode(const engine::EngineSnapshot& snap, ByteWriter& out);
-  /// Serialize one shard's DendrogramSnapshot arrays — the per-shard
-  /// unit encode() emits. Exposed so tests can compare a patched shard
-  /// snapshot byte-for-byte against a freshly built one.
+  /// Serialize one shard's DendrogramSnapshot — the per-shard unit
+  /// encode() emits — in its canonical rank-ordered form (slot = rank
+  /// position, CSR child/leaf lists, level-major lifting table; see
+  /// DendrogramSnapshot::Canonical), not the in-memory stable-slot
+  /// chunks: the bytes depend only on the dendrogram, never on node
+  /// ids. Exposed so tests can compare a patched shard snapshot
+  /// byte-for-byte against a freshly built one.
   static void encode_shard(const engine::DendrogramSnapshot& d,
                            ByteWriter& out);
-  /// Rebuild a snapshot from codec bytes; null on malformed input.
+  /// Rebuild a snapshot from codec bytes (each shard rehydrated with
+  /// slot = rank position); null on malformed input.
   /// `stats`/`obs` (nullable) become the decoded snapshot's accounting
   /// sinks, normally the recovering service's own bundle.
   static engine::EpochManager::Snap decode(

@@ -22,6 +22,7 @@
 #include "engine/subscription.hpp"
 #include "msf/dynamic_msf.hpp"
 #include "parallel/random.hpp"
+#include "persist/checkpoint.hpp"
 #include "test_util.hpp"
 
 namespace dynsld::engine {
@@ -916,6 +917,122 @@ TEST(Replay, SlidingWindowTraceMatchesReference) {
   auto snap = svc.snapshot();
   auto ref = reference_labels(tr.num_vertices, snap->captured_edges(), 0.35);
   expect_same_partition(ref, snap->flat_clustering(0.35));
+}
+
+// ---- stable-slot, chunk-shared snapshots ------------------------------
+
+/// Canonical codec bytes of one shard snapshot.
+std::string shard_bytes(const DendrogramSnapshot& d) {
+  persist::ByteWriter w;
+  persist::SnapshotCodec::encode_shard(d, w);
+  return w.bytes();
+}
+
+/// Block-local churn on one shard: `ops` inserts/erases (40% erases)
+/// inside 64-vertex blocks, then a flush.
+struct BlockChurn {
+  SldService& svc;
+  vertex_id n;
+  par::Rng rng;
+  std::vector<ticket_t> live;
+
+  void step(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      if (!live.empty() && rng.next_double() < 0.4) {
+        size_t j = rng.next_bounded(live.size());
+        svc.erase(live[j]);
+        live[j] = live.back();
+        live.pop_back();
+      } else {
+        const vertex_id block = 64 * static_cast<vertex_id>(
+                                         rng.next_bounded(n / 64));
+        auto [u, v] = test::random_block_pair(rng, block, 64);
+        live.push_back(svc.insert(u, v, rng.next_double()));
+      }
+    }
+    svc.flush();
+  }
+};
+
+// Consecutive epochs share snapshot chunks, so a patch must never write
+// through a chunk an older epoch still holds: eight epochs pinned
+// through the AsOf retention ring keep their exact codec bytes and
+// answers while 50 more small-batch flushes patch the shard on top.
+TEST(DendrogramSnapshot, RetainedEpochsStayImmutableUnderPatching) {
+  const vertex_id n = 2048;
+  const double tau = 0.45;
+  ServiceConfig cfg;
+  cfg.num_vertices = n;
+  cfg.num_shards = 1;
+  SldService svc(cfg);
+  BlockChurn churn{svc, n, test::test_rng(), {}};
+  churn.step(2500);  // bulk load
+
+  struct PinnedEpoch {
+    uint64_t epoch;
+    EpochManager::Snap snap;
+    std::string bytes;
+    ResultSet answers;
+  };
+  auto ask = [&](Consistency c) {
+    QueryRequest req;
+    req.consistency = c;
+    req.queries = {FlatClusteringQuery{tau}, SizeHistogramQuery{tau},
+                   NumClustersQuery{tau}};
+    for (vertex_id v = 0; v < n; v += 97)
+      req.queries.push_back(ClusterReportQuery{v, tau});
+    return svc.submit(std::move(req)).get();
+  };
+  std::vector<PinnedEpoch> pinned;
+  for (int e = 0; e < 8; ++e) {
+    churn.step(16);
+    PinnedEpoch p;
+    p.epoch = svc.epoch();
+    p.snap = svc.snapshot_at(p.epoch);
+    ASSERT_TRUE(p.snap);
+    p.bytes = shard_bytes(p.snap->shard(0));
+    p.answers = ask(AsOf{p.epoch});
+    ASSERT_EQ(p.answers.epoch, p.epoch);
+    pinned.push_back(std::move(p));
+  }
+
+  const uint64_t patched0 = svc.stats().shard_snapshots_patched;
+  for (int f = 0; f < 50; ++f) churn.step(16);
+  EXPECT_GE(svc.stats().shard_snapshots_patched - patched0, 45u);
+
+  for (const PinnedEpoch& p : pinned) {
+    SCOPED_TRACE("epoch " + std::to_string(p.epoch));
+    EXPECT_EQ(shard_bytes(p.snap->shard(0)), p.bytes);
+    // The same answers, recomputed now from the pinned snapshot.
+    ResultSet again = ask(Pinned{p.snap});
+    EXPECT_EQ(again.results, p.answers.results);
+  }
+}
+
+// The patch copies chunk tables and clones only what it writes: on a
+// 4,096-vertex shard, 16-op batches leave at least half of the shard's
+// chunks shared with the previous epoch on every flush.
+TEST(DendrogramSnapshot, SmallBatchesShareMostChunks) {
+  const vertex_id n = 4096;
+  ServiceConfig cfg;
+  cfg.num_vertices = n;
+  cfg.num_shards = 1;
+  SldService svc(cfg);
+  BlockChurn churn{svc, n, test::test_rng(), {}};
+  churn.step(4000);  // bulk load
+  churn.step(16);    // first patch on top of the fresh build
+  for (int f = 0; f < 40; ++f) {
+    const EngineStats::Report before = svc.stats();
+    churn.step(16);
+    const EngineStats::Report after = svc.stats();
+    ASSERT_EQ(after.shard_snapshots_patched - before.shard_snapshots_patched,
+              1u)
+        << "flush " << f;
+    const uint64_t cloned = after.shard_chunks_cloned - before.shard_chunks_cloned;
+    const uint64_t shared = after.shard_chunks_shared - before.shard_chunks_shared;
+    EXPECT_GT(cloned, 0u) << "flush " << f;
+    EXPECT_GE(shared, cloned) << "flush " << f;
+  }
 }
 
 }  // namespace

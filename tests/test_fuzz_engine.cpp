@@ -663,5 +663,216 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
   fs::remove_all(dir);
 }
 
+// ---- stable-slot snapshots: slot-independent answers -------------------
+
+/// Distinct weights (injective index map modulo a prime): ties would
+/// let the rank tiebreak — node ids — decide the dendrogram.
+struct DistinctWeights {
+  uint64_t i = 0;
+  uint64_t salt;
+  double operator()() {
+    return static_cast<double>((i++ * 2654435761ull + salt) % 999983ull) /
+           999983.0;
+  }
+};
+
+/// Every answer kind whose content depends on node order, at two taus:
+/// member lists of every 7th vertex, flat labels, size histograms.
+ResultSet ask_all(SldService& svc, vertex_id n, Consistency c,
+                  vertex_id stride = 7) {
+  QueryRequest req;
+  req.consistency = c;
+  for (double tau : {0.3, 0.7}) {
+    req.queries.push_back(FlatClusteringQuery{tau});
+    req.queries.push_back(SizeHistogramQuery{tau});
+    for (vertex_id v = 0; v < n; v += stride)
+      req.queries.push_back(ClusterReportQuery{v, tau});
+  }
+  return svc.submit(std::move(req)).get();
+}
+
+// A replica bootstrapped from a checkpoint re-inserts the live edges
+// as one batch, so its dendrogram node ids — its snapshot slots — are
+// assigned afresh, unlike the writer's recycled ids. Slots are opaque:
+// member lists (in order), flat labels and histograms must still be
+// byte-identical at the same epoch. The replica here is
+// persist::recover(), the replay path net::Replica shares.
+TEST(FuzzEngine, ReplicaSlotsDifferAnswersIdentical) {
+  namespace fs = std::filesystem;
+  const vertex_id n = 512;
+  const fs::path dir = fs::temp_directory_path() / "dynsld_fuzz_replica_slots";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ServiceConfig cfg;
+  cfg.num_vertices = n;
+  cfg.num_shards = 2;
+  cfg.persist.dir = dir.string();
+  cfg.persist.checkpoint_every = 6;
+
+  uint64_t tip = 0;
+  ResultSet writer_answers;
+  std::vector<int32_t> writer_tops;
+  {
+    SldService svc(cfg);
+    par::Rng rng(20261017);
+    DistinctWeights w{0, 5};
+    std::vector<LiveEdge> live;
+    // Heavy churn: erased ids are recycled, so the writer's slot order
+    // drifts far from the replica's fresh, insertion-ordered ids.
+    for (int round = 0; round < 60; ++round) {
+      for (int i = 0; i < 40; ++i) {
+        if (live.size() > 300 && rng.next_double() < 0.45) {
+          size_t j = rng.next_bounded(live.size());
+          svc.erase(live[j].ticket);
+          live[j] = live.back();
+          live.pop_back();
+        } else {
+          auto [u, v] = test::random_distinct_pair(rng, n);
+          live.push_back(LiveEdge{svc.insert(u, v, w()), u, v});
+        }
+      }
+      svc.flush();
+    }
+    tip = svc.epoch();
+    writer_answers = ask_all(svc, n, Latest{}, 1);
+    ASSERT_EQ(writer_answers.epoch, tip);
+    auto snap = svc.snapshot();
+    for (vertex_id v = 0; v < n; ++v)
+      writer_tops.push_back(snap->shard(snap->shard_map().home(v)).top_of(v, 0.7));
+  }
+
+  auto res = persist::recover(cfg);
+  ASSERT_TRUE(res.service);
+  ASSERT_EQ(res.tip_epoch, tip);
+  ASSERT_GT(res.checkpoint_epoch, 0u);
+  ResultSet replica_answers = ask_all(*res.service, n, AsOf{tip}, 1);
+  ASSERT_EQ(replica_answers.epoch, tip);
+  EXPECT_EQ(replica_answers.results, writer_answers.results);
+  // The premise: the same clusters sit under different slots.
+  auto snap = res.service->snapshot();
+  size_t moved = 0;
+  for (vertex_id v = 0; v < n; ++v)
+    moved += snap->shard(snap->shard_map().home(v)).top_of(v, 0.7) !=
+             writer_tops[v];
+  EXPECT_GT(moved, 0u);
+  res.service.reset();
+  fs::remove_all(dir);
+}
+
+// A sorted-weight path is the deepest dendrogram (h = n - 2 hops): a
+// small edit near the bottom moves the depth of everything above it,
+// so its contraction rounds' active sets pass half the shard and
+// whole rounds re-run. Patched in small batches, it must stay
+// byte-identical to the from-scratch twin.
+TEST(FuzzEngine, DeepChainPatchesMatchFreshBuilds) {
+  const vertex_id n = 512;
+  ServiceConfig cfg;
+  cfg.num_vertices = n;
+  cfg.num_shards = 1;
+  cfg.capture_edges = true;
+  ServiceConfig bcfg = cfg;
+  bcfg.incremental_snapshots = false;
+  SldService svc(cfg), baseline(bcfg);
+
+  // Path edge (v, v+1) weighs about (v+1)/n: Kruskal merges the path
+  // left to right, one chain node per vertex.
+  std::vector<ticket_t> path(n - 1);
+  for (vertex_id v = 0; v + 1 < n; ++v) {
+    const double w = (v + 1.0) / n;
+    path[v] = svc.insert(v, v + 1, w);
+    baseline.insert(v, v + 1, w);
+  }
+  ASSERT_EQ(svc.flush(), baseline.flush());
+
+  par::Rng rng(7);
+  for (int round = 0; round < 40; ++round) {
+    // Re-weight two path edges: each moves one node along the chain.
+    for (int i = 0; i < 2; ++i) {
+      const vertex_id v = static_cast<vertex_id>(rng.next_bounded(n - 1));
+      svc.erase(path[v]);
+      baseline.erase(path[v]);
+      const double w = (v + 1.0 + 0.5 * (rng.next_double() - 0.5)) / n;
+      path[v] = svc.insert(v, v + 1, w);
+      baseline.insert(v, v + 1, w);
+    }
+    const uint64_t e = svc.flush();
+    ASSERT_EQ(baseline.flush(), e);
+    auto snap = svc.snapshot();
+    persist::ByteWriter pa, pb;
+    persist::SnapshotCodec::encode_shard(snap->shard(0), pa);
+    persist::SnapshotCodec::encode_shard(baseline.snapshot()->shard(0), pb);
+    ASSERT_EQ(pa.bytes(), pb.bytes()) << "round " << round;
+    for (double tau : {0.25, 0.75}) {
+      auto ref = reference_labels(n, snap->captured_edges(), tau);
+      expect_same_partition(ref, snap->flat_clustering(tau));
+    }
+  }
+  const EngineStats::Report r = svc.stats();
+  EXPECT_GT(r.shard_snapshots_patched, 20u);
+  EXPECT_GT(r.contraction_rounds_rerun, 0u);
+}
+
+// Decoded checkpoints carry the canonical rank-ordered form, so a
+// rehydrated snapshot's slots are rank positions — a third slot
+// assignment, next to the writer's node ids. An AsOf answer served
+// from it must equal the answer the live engine gave at that epoch.
+TEST(FuzzEngine, RehydratedAsOfMatchesLiveAnswers) {
+  namespace fs = std::filesystem;
+  const vertex_id n = 768;
+  const fs::path dir = fs::temp_directory_path() / "dynsld_fuzz_rehydrate";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ServiceConfig cfg;
+  cfg.num_vertices = n;
+  cfg.num_shards = 3;
+  cfg.retain_epochs = 2;
+  cfg.persist.dir = dir.string();
+  cfg.persist.checkpoint_every = 5;
+  {
+    SldService svc(cfg);
+    par::Rng rng(99);
+    DistinctWeights w{0, 3};
+    std::vector<ticket_t> live;
+    auto churn = [&] {
+      for (int i = 0; i < 30; ++i) {
+        if (!live.empty() && rng.next_double() < 0.35) {
+          size_t j = rng.next_bounded(live.size());
+          svc.erase(live[j]);
+          live[j] = live.back();
+          live.pop_back();
+        } else {
+          auto [u, v] = test::random_distinct_pair(rng, n);
+          live.push_back(svc.insert(u, v, w()));
+        }
+      }
+      svc.flush();
+    };
+    while (svc.epoch() < 10) churn();  // epoch 10 is checkpointed
+    ASSERT_EQ(svc.epoch(), 10u);
+    ResultSet live_answers = ask_all(svc, n, Latest{});
+    QueryRequest point;
+    for (vertex_id v = 0; v + 1 < n; v += 5) {
+      point.queries.push_back(SameClusterQuery{v, v + 1, 0.5});
+      point.queries.push_back(ClusterSizeQuery{v, 0.5});
+    }
+    point.queries.push_back(NumClustersQuery{0.5});
+    QueryRequest point_again = point;
+    ResultSet live_points = svc.submit(std::move(point)).get();
+
+    for (int i = 0; i < 4; ++i) churn();  // epoch 10 leaves the ring
+    ASSERT_FALSE(svc.snapshot_at(10));
+    const uint64_t rehydrated0 = svc.stats().asof_rehydrated;
+    ResultSet old_answers = ask_all(svc, n, AsOf{10});
+    point_again.consistency = AsOf{10};
+    ResultSet old_points = svc.submit(std::move(point_again)).get();
+    // Served by decoding the epoch-10 checkpoint (then from its cache).
+    EXPECT_GE(svc.stats().asof_rehydrated - rehydrated0, 1u);
+    ASSERT_EQ(old_answers.epoch, 10u);
+    EXPECT_EQ(old_answers.results, live_answers.results);
+    EXPECT_EQ(old_points.results, live_points.results);
+  }
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace dynsld::engine

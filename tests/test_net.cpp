@@ -12,6 +12,7 @@
 // them across a socket).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <limits>
@@ -634,28 +636,55 @@ TEST(Repl, TwoReplicasFanOutAndServeIdenticalAnswers) {
   EXPECT_GE(svc.stats().repl_snapshots_served, 2u);
 }
 
+// Writer process of Kill9WriterReplicaMatchesRecoverBitForBit: build
+// durable state in $DYNSLD_KILL9_DIR, serve it, report (port, tip) on the
+// inherited pipe descriptor $DYNSLD_KILL9_FD, then hang until SIGKILL —
+// no destructor runs, like a real crash. The parent starts it by
+// fork+exec of this test binary, so the writer begins from a fresh
+// process image: no fork-join pool threads and no lock state inherited
+// from the parent. Disabled, so only that exec runs it.
+TEST(Repl, DISABLED_Kill9WriterProcess) {
+  const char* dir = std::getenv("DYNSLD_KILL9_DIR");
+  const char* fd_env = std::getenv("DYNSLD_KILL9_FD");
+  if (!dir || !fd_env) GTEST_SKIP() << "runs only as the writer process";
+  const int fd = std::atoi(fd_env);
+  SldService svc(net_config(dir));
+  churn(svc, 10, /*seed=*/9);
+  RpcServer server(svc);
+  uint16_t port = server.port();
+  uint64_t tip = svc.epoch();
+  if (::write(fd, &port, sizeof port) != sizeof port) ::_exit(3);
+  if (::write(fd, &tip, sizeof tip) != sizeof tip) ::_exit(3);
+  for (;;) ::pause();
+}
+
 TEST(Repl, Kill9WriterReplicaMatchesRecoverBitForBit) {
   TempDir dir;
   int pipefd[2];
   ASSERT_EQ(::pipe(pipefd), 0);
+  // Everything the exec needs is built before fork: between fork and
+  // exec the child makes only async-signal-safe calls.
+  std::vector<std::string> env;
+  for (char** e = environ; *e; ++e) env.emplace_back(*e);
+  env.push_back("DYNSLD_KILL9_DIR=" + dir.path);
+  env.push_back("DYNSLD_KILL9_FD=" + std::to_string(pipefd[1]));
+  std::vector<char*> envp;
+  for (std::string& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
+  std::string arg0 = "test_net",
+              arg1 = "--gtest_filter=Repl.DISABLED_Kill9WriterProcess",
+              arg2 = "--gtest_also_run_disabled_tests";
+  char* argv[] = {arg0.data(), arg1.data(), arg2.data(), nullptr};
+  const int devnull = ::open("/dev/null", O_WRONLY);
   pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Writer child: build durable state, serve it, then hang until the
-    // parent SIGKILLs us — no destructor runs, like a real crash.
     ::close(pipefd[0]);
-    {
-      SldService svc(net_config(dir.path));
-      churn(svc, 10, /*seed=*/9);
-      RpcServer server(svc);
-      uint16_t port = server.port();
-      uint64_t tip = svc.epoch();
-      if (::write(pipefd[1], &port, sizeof port) != sizeof port) ::_exit(3);
-      if (::write(pipefd[1], &tip, sizeof tip) != sizeof tip) ::_exit(3);
-      for (;;) ::pause();
-    }
-    ::_exit(0);
+    if (devnull >= 0) ::dup2(devnull, STDOUT_FILENO);  // child's gtest chatter
+    ::execve("/proc/self/exe", argv, envp.data());
+    ::_exit(127);
   }
+  if (devnull >= 0) ::close(devnull);
   ::close(pipefd[1]);
   uint16_t port = 0;
   uint64_t tip = 0;

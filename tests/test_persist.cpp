@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -29,6 +30,7 @@
 #include "engine/cluster_view.hpp"
 #include "engine/query.hpp"
 #include "engine/sld_service.hpp"
+#include "parallel/random.hpp"
 #include "persist/bytes.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/crc32c.hpp"
@@ -1160,6 +1162,39 @@ TEST(Persist, CountersAndHistogramsReachTheScrapeSurface) {
   auto r = svc.stats();
   EXPECT_EQ(r.wal_records, snap.counter("engine.wal_records"));
   EXPECT_EQ(r.checkpoints_written, snap.counter("engine.checkpoints_written"));
+}
+
+// Fixture writer for the walctl_checkpoints ctest
+// (tests/walctl_checkpoint_test.py): writes a durable directory holding
+// two checkpoints and a WAL tail into $DYNSLD_WALCTL_DIR, which walctl
+// must then list and verify clean. Disabled, so only that script runs
+// it (--gtest_also_run_disabled_tests).
+TEST(Walctl, DISABLED_WriteFixtureDirectory) {
+  const char* dir = std::getenv("DYNSLD_WALCTL_DIR");
+  if (!dir) GTEST_SKIP() << "runs only under walctl_checkpoint_test.py";
+  ServiceConfig cfg;
+  cfg.num_vertices = 256;
+  cfg.num_shards = 2;
+  cfg.persist.dir = dir;
+  cfg.persist.checkpoint_every = 4;
+  SldService svc(cfg);
+  par::Rng rng(11);
+  std::vector<ticket_t> live;
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    for (int i = 0; i < 24; ++i) {
+      if (!live.empty() && rng.next_double() < 0.3) {
+        size_t j = rng.next_bounded(live.size());
+        svc.erase(live[j]);
+        live[j] = live.back();
+        live.pop_back();
+      } else {
+        auto [u, v] = test::random_distinct_pair(rng, cfg.num_vertices);
+        live.push_back(svc.insert(u, v, rng.next_double()));
+      }
+    }
+    svc.flush();
+  }
+  EXPECT_EQ(svc.epoch(), 10u);
 }
 
 }  // namespace

@@ -42,6 +42,10 @@ import sys
 
 WAL_MAGIC = b"DSLDWAL1"
 CKPT_MAGIC = b"DSLDCKP1"
+# Header versions the engine writes (kVersion in src/persist/wal.cpp
+# and src/persist/checkpoint.cpp); the engine reads no other.
+WAL_VERSION = 1
+CKPT_VERSION = 2
 WAL_RE = re.compile(r"^wal-(\d{20})\.log$")
 CKPT_RE = re.compile(r"^ckpt-(\d{20})\.bin$")
 
@@ -78,7 +82,7 @@ def scan_wal(data):
         s.error = "bad or missing segment header"
         return s
     (version,) = struct.unpack_from("<I", data, 8)
-    if version != 1:
+    if version != WAL_VERSION:
         s.error = f"unsupported WAL version {version}"
         return s
     off = 12
@@ -128,7 +132,7 @@ def check_ckpt(data):
     if len(data) < 20 or data[:8] != CKPT_MAGIC:
         return "bad or missing checkpoint header"
     version, length, crc = struct.unpack_from("<III", data, 8)
-    if version != 1:
+    if version != CKPT_VERSION:
         return f"unsupported checkpoint version {version}"
     payload = data[20 : 20 + length]
     if len(payload) != length or len(data) != 20 + length:
