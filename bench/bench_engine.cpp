@@ -10,8 +10,8 @@
 //      parallel on the fork-join pool.
 //   3. Coalescing: short-lived edges annihilate in the mutation queue
 //      and never reach the shards.
-//   4. View amortization: N mixed queries at one tau through per-call
-//      snapshot conveniences vs one ThresholdView vs one batched
+//   4. View amortization: N mixed queries at one tau through one
+//      ThresholdView per call vs one shared ThresholdView vs one batched
 //      ClusterView::run() — one cross-shard merge resolution amortized
 //      over the whole batch.
 //   5. Subscription refresh: skewed traffic keeps hammering one shard
@@ -272,11 +272,11 @@ static void view_amortization(bool smoke) {
   double t0 = now_ms();
   for (const Query& query : queries) {
     if (const auto* sc = std::get_if<SameClusterQuery>(&query))
-      snap->same_cluster(sc->u, sc->v, tau);
+      ThresholdView(snap, tau).same_cluster(sc->u, sc->v);
     else if (const auto* cs = std::get_if<ClusterSizeQuery>(&query))
-      snap->cluster_size(cs->u, tau);
+      ThresholdView(snap, tau).cluster_size(cs->u);
     else if (const auto* cr = std::get_if<ClusterReportQuery>(&query))
-      snap->cluster_report(cr->u, tau);
+      ThresholdView(snap, tau).cluster_report(cr->u);
   }
   double per_call_ms = now_ms() - t0;
 
@@ -294,7 +294,7 @@ static void view_amortization(bool smoke) {
 
   bench::row("%-24s %8zu queries @tau=%.2f, %zu cross edges", "mixed workload:",
              queries.size(), tau, svc.snapshot()->cross().size());
-  bench::row("%-24s %10.2f ms  (%12.0f q/s)", "per-call conveniences:",
+  bench::row("%-24s %10.2f ms  (%12.0f q/s)", "one view per call:",
              per_call_ms, 1e3 * q / per_call_ms);
   bench::row("%-24s %10.2f ms  (%12.0f q/s)  %.1fx", "one ThresholdView:",
              view_ms, 1e3 * q / view_ms, per_call_ms / view_ms);

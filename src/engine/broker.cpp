@@ -10,6 +10,12 @@ namespace dynsld::engine {
 
 namespace {
 
+/// Dispatcher micro-batch timer: upper bound on how long intake can sit
+/// before a dispatch cycle picks it up (submits and publishes nudge the
+/// dispatcher immediately; the timer is the liveness fallback and the
+/// parked-deadline sweep granularity).
+constexpr std::chrono::microseconds kDispatchInterval{200};
+
 /// Monotone max-store (publishes can arrive out of order; see
 /// subscription.cpp for the same idiom on the subscriber side).
 void store_max(std::atomic<uint64_t>& a, uint64_t e) {
@@ -304,7 +310,7 @@ void QueryBroker::dispatcher_loop() {
   while (!stop_) {
     // Wake on submit nudges and publish signals; the interval bounds
     // how long parked deadlines can go unswept (micro-batch timer).
-    cv_.wait_for(lk, opt_.interval, [&] {
+    cv_.wait_for(lk, kDispatchInterval, [&] {
       return stop_ || intake_.load() != nullptr ||
              abort_waiters_.load(std::memory_order_acquire) ||
              published_.load(std::memory_order_acquire) > last_epoch_;

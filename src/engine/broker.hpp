@@ -79,11 +79,6 @@ class QueryBroker {
     /// Admission control: submits beyond this many in-flight requests
     /// are rejected immediately with QueryError{kAdmissionRejected}.
     size_t queue_depth = 4096;
-    /// Dispatcher micro-batch timer: upper bound on how long intake
-    /// can sit before a dispatch cycle picks it up (submits and
-    /// publishes nudge the dispatcher immediately; the timer is the
-    /// liveness fallback and the parked-deadline sweep granularity).
-    std::chrono::microseconds interval{200};
   };
 
   /// Starts the dispatcher thread and registers with `hub` as a system

@@ -10,13 +10,13 @@
 // without a separate quiescence protocol.
 //
 // An EngineSnapshot combines the per-shard DendrogramSnapshots with the
-// cross-shard edge view and answers the merged §6.1 queries exactly:
-// single-linkage clusters at threshold tau are the connected components
-// of the sub-tau edges, and the edge set is partitioned into intra-
-// shard edges (each shard's clusters are exact for its subgraph) plus
-// the cross table, so merging per-shard clusters along sub-tau cross
-// edges reproduces the global clustering. With no sub-tau cross edges
-// the queries collapse to the owning shard's O(log h) lookups.
+// cross-shard edge view. It is data only: the merged §6.1 queries are
+// answered by ThresholdView, the query plane, which reads these
+// parts. Single-linkage clusters at threshold tau are the connected
+// components of the sub-tau edges, and the edge set is partitioned
+// into intra-shard edges (each shard's clusters are exact for its
+// subgraph) plus the cross table, so merging per-shard clusters along
+// sub-tau cross edges reproduces the global clustering.
 #pragma once
 
 #include <atomic>
@@ -172,16 +172,6 @@ class EngineSnapshot {
   /// Dendrogram nodes across the shard snapshots — intra-shard forest
   /// edges only; cross-table edges are raw and counted by cross().
   size_t num_tree_edges() const;
-
-  // ---- merged §6.1 queries (exact across shards) ----
-  // Single-shot convenience wrappers: each builds a transient
-  // ThresholdView (cluster_view.hpp) over this snapshot and asks it.
-  // Batch traffic should hold a ClusterView / ThresholdView instead so
-  // the per-threshold merge resolution is paid once, not per call.
-  bool same_cluster(vertex_id s, vertex_id t, double tau) const;
-  uint64_t cluster_size(vertex_id u, double tau) const;
-  std::vector<vertex_id> cluster_report(vertex_id u, double tau) const;
-  std::vector<vertex_id> flat_clustering(double tau) const;
 
   /// The epoch's full alive edge set (tree + non-tree + cross), present
   /// only when the service runs with capture_edges (verification mode);

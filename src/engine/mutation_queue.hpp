@@ -21,12 +21,10 @@
 // endpoints instead of retaining tickets; a multi-edge erases its most
 // recently inserted copy first.
 //
-// Dirty-set capture: queued erases carry the endpoints the ledger
-// resolved at enqueue time, so a drained batch can report exactly which
-// shards (and whether the cross table) applying it will touch.
-// Annihilated insert/erase pairs are gone before the drain and
-// contribute nothing — the tests pin that invariant down, since it is
-// what keeps churn-only traffic invisible to the epoch plane.
+// Queued erases carry the endpoints the ledger resolved at enqueue time
+// (the WAL record format stores them). Annihilated insert/erase pairs
+// are gone before the drain and contribute nothing, which is what keeps
+// churn-only traffic invisible to the epoch plane.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/epoch.hpp"
 #include "engine/stats.hpp"
 #include "graph/types.hpp"
 
@@ -62,23 +59,10 @@ class MutationQueue {
   struct EraseOp {
     ticket_t ticket;
     // Endpoints resolved through the ledger at enqueue time (kNoVertex
-    // pair when the ticket was never inserted through this queue), so
-    // the flush knows which shard an erase lands in without resolving
-    // the shard-level handle first.
+    // pair when the ticket was never inserted through this queue). The
+    // WAL record format carries them; the router locates an erase by
+    // its ticket.
     vertex_id u = kNoVertex, v = kNoVertex;
-  };
-
-  /// Which shards — and whether the cross table — applying a batch will
-  /// touch (the set of per-shard structures the next epoch rebuilds).
-  struct BatchDirty {
-    std::vector<char> shards;
-    bool cross = false;
-
-    bool any() const {
-      for (char c : shards)
-        if (c) return true;
-      return cross;
-    }
   };
 
   /// One atomic cut of everything pending, handed to the flush.
@@ -87,24 +71,6 @@ class MutationQueue {
     std::vector<EraseOp> erases;    // enqueue order, deduplicated
     size_t size() const { return inserts.size() + erases.size(); }
     bool empty() const { return inserts.empty() && erases.empty(); }
-
-    /// The dirty set this batch implies under `map`. Erases whose
-    /// ticket never went through the queue have unknown endpoints and
-    /// are skipped (the router counts them as invalid at apply).
-    BatchDirty dirty_set(const ShardMap& map) const {
-      BatchDirty d;
-      d.shards.assign(map.num_shards, 0);
-      auto touch = [&](vertex_id u, vertex_id v) {
-        if (map.intra(u, v))
-          d.shards[map.home(u)] = 1;
-        else
-          d.cross = true;
-      };
-      for (const InsertOp& op : inserts) touch(op.u, op.v);
-      for (const EraseOp& op : erases)
-        if (op.u != kNoVertex) touch(op.u, op.v);
-      return d;
-    }
   };
 
   explicit MutationQueue(EngineStats* stats = nullptr) : stats_(stats) {}

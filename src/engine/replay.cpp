@@ -121,8 +121,7 @@ ReplayReport replay(const Trace& trace, SldService& svc,
       uint64_t local = 0;
       // One query-mix loop for both read paths; `target` yields the
       // ThresholdView to query — reused per epoch (amortized mode) or
-      // built fresh per call, which is exactly what the snapshot
-      // conveniences do internally.
+      // built fresh per call (one merge resolution per query).
       std::shared_ptr<const ThresholdView> tv;
       auto target = [&]() -> std::shared_ptr<const ThresholdView> {
         if (opt.amortize_views) {

@@ -56,8 +56,8 @@ struct ReplayOptions {
   size_t ops_per_flush = 64; // writer flushes every this many trace ops
   uint64_t query_seed = 1;
   /// Readers hold a ThresholdView per epoch and query it (the amortized
-  /// read path); false re-resolves per call through the snapshot
-  /// conveniences (the PR 1 behavior, kept for A/B benchmarking).
+  /// read path); false builds one ThresholdView per call, re-resolving
+  /// the merge every time (kept for A/B benchmarking).
   bool amortize_views = true;
 };
 

@@ -7,7 +7,7 @@
 
 namespace dynsld::engine {
 
-ShardRouter::ShardRouter(vertex_id n, int num_shards, SpineIndex index,
+ShardRouter::ShardRouter(vertex_id n, int num_shards,
                          std::shared_ptr<EngineObs> obs, bool incremental)
     : map_(ShardMap::make(n, num_shards)),
       obs_(std::move(obs)),
@@ -20,7 +20,7 @@ ShardRouter::ShardRouter(vertex_id n, int num_shards, SpineIndex index,
     // receive edges, but the structures want n >= 1).
     vertex_id local_n = map_.local_size(k);
     shards_.push_back(
-        std::make_unique<DynamicClustering>(local_n ? local_n : 1, index));
+        std::make_unique<DynamicClustering>(local_n ? local_n : 1));
     contraction_.emplace_back(incremental);
   }
   dirty_.assign(map_.num_shards, 0);

@@ -51,8 +51,8 @@ class ShardRouter {
   /// arrays copy-on-write when the batch's structural footprint is
   /// small; off, every dirty shard rebuilds from scratch (the baseline
   /// the benchmark and the fuzz twin-service compare against).
-  ShardRouter(vertex_id n, int num_shards, SpineIndex index,
-              std::shared_ptr<EngineObs> obs, bool incremental = true);
+  ShardRouter(vertex_id n, int num_shards, std::shared_ptr<EngineObs> obs,
+              bool incremental = true);
 
   const ShardMap& shard_map() const { return map_; }
   int num_shards() const { return map_.num_shards; }

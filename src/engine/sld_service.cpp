@@ -1,6 +1,7 @@
 #include "engine/sld_service.hpp"
 
 #include <cassert>
+#include <cmath>
 
 #include "persist/persist.hpp"
 
@@ -11,7 +12,7 @@ SldService::SldService(const ServiceConfig& cfg)
       obs_(std::make_shared<EngineObs>()),
       stats_(EngineObs::stats_handle(obs_)),
       queue_(stats_.get()),
-      router_(cfg.num_vertices, cfg.num_shards, cfg.index, obs_,
+      router_(cfg.num_vertices, cfg.num_shards, obs_,
               cfg.incremental_snapshots) {
   // Live gauges: point-in-time reads of the running service, cleared in
   // the destructor (the registry itself may outlive us via snapshots).
@@ -30,8 +31,7 @@ SldService::SldService(const ServiceConfig& cfg)
   // Epoch 0: the empty snapshot, so readers never see a null view.
   epochs_.publish(router_.build_snapshot(0, nullptr, cfg_.capture_edges));
   broker_ = std::make_unique<QueryBroker>(
-      epochs_, subs_, obs_,
-      QueryBroker::Options{cfg_.broker_queue_depth, cfg_.broker_interval});
+      epochs_, subs_, obs_, QueryBroker::Options{cfg_.broker_queue_depth});
   if (cfg_.persist.enabled()) {
     // Fresh durable service: refuse a directory that already holds
     // state (recover() is the resume path; shadowing it would fork
@@ -123,6 +123,15 @@ uint64_t SldService::flush() {
 SldService::ReplayResult SldService::replay(uint64_t epoch,
                                             const MutationQueue::Drained& batch,
                                             ticket_t ticket_floor) {
+  // Replayed history is outside input (a directory or a replication
+  // stream possibly written under another config): every insert must
+  // be an edge this engine can hold before any state moves, since the
+  // router indexes its per-shard tables by endpoint unchecked.
+  for (const MutationQueue::InsertOp& op : batch.inserts) {
+    if (op.u >= cfg_.num_vertices || op.v >= cfg_.num_vertices ||
+        op.u == op.v || !std::isfinite(op.w))
+      return ReplayResult::kRefused;
+  }
   std::unique_lock<std::mutex> lk(flush_mu_);
   const uint64_t cur = next_epoch_ - 1;
   if (ticket_floor == kNoTicket) {

@@ -72,7 +72,6 @@ namespace dynsld::engine {
 struct ServiceConfig {
   vertex_id num_vertices = 0;
   int num_shards = 1;
-  SpineIndex index = SpineIndex::kLct;
   /// Background writer flushes when this many ops are pending...
   size_t flush_threshold = 256;
   /// ...or this much time passed since the last flush, whichever first.
@@ -88,9 +87,6 @@ struct ServiceConfig {
   /// Broker admission control: submits beyond this many in-flight
   /// requests are rejected with QueryError{kAdmissionRejected}.
   size_t broker_queue_depth = 4096;
-  /// Broker dispatcher micro-batch timer (liveness fallback + parked
-  /// deadline sweep granularity; submits and publishes wake it sooner).
-  std::chrono::microseconds broker_interval{200};
   /// Superseded epochs kept alive in memory for AsOf{epoch} time
   /// travel (0 = current epoch only; each retained epoch pins its
   /// snapshot's memory).
@@ -248,7 +244,8 @@ class SldService {
   enum class ReplayResult : uint8_t {
     kApplied,  // published as the requested epoch
     kCovered,  // the engine already holds that epoch: skipped
-    kRefused,  // an epoch gap, or a checkpoint onto a non-fresh engine
+    kRefused,  // an epoch gap, a checkpoint onto a non-fresh engine, or
+               // an insert this engine cannot hold
   };
 
   /// The one entry that re-enacts durable history (recovery and
@@ -258,8 +255,10 @@ class SldService {
   /// ledger under its ORIGINAL tickets, then applies and publishes as
   /// `epoch` through flush()'s own core. A record must be the next
   /// epoch (covered epochs are skipped, gaps refused); a checkpoint
-  /// only bootstraps an engine still at epoch 0. Skipped and refused
-  /// calls change nothing; enqueue counters never move, and nothing is
+  /// only bootstraps an engine still at epoch 0. A batch holding an
+  /// insert with an endpoint >= num_vertices, a self-loop or a
+  /// non-finite weight is refused whole. Skipped and refused calls
+  /// change nothing; enqueue counters never move, and nothing is
   /// logged or tapped.
   ReplayResult replay(uint64_t epoch, const MutationQueue::Drained& batch,
                       ticket_t ticket_floor = kNoTicket);

@@ -536,18 +536,6 @@ int32_t DendrogramSnapshot::top_of(vertex_id v, double tau) const {
   return x;
 }
 
-bool DendrogramSnapshot::same_cluster(vertex_id s, vertex_id t,
-                                      double tau) const {
-  if (s == t) return true;
-  int32_t a = top_of(s, tau);
-  return a != kNoSlot && a == top_of(t, tau);
-}
-
-uint64_t DendrogramSnapshot::cluster_size(vertex_id u, double tau) const {
-  int32_t top = top_of(u, tau);
-  return top == kNoSlot ? 1 : node(top).count;
-}
-
 uint64_t DendrogramSnapshot::num_clusters(double tau) const {
   // Blocks hold ascending keys, so the sub-tau prefix ends inside the
   // first block whose last weight exceeds tau.
@@ -577,16 +565,6 @@ void DendrogramSnapshot::members_of(int32_t top,
     for (int32_t ch : nd.child)
       if (ch != kNoSlot) stack.push_back(ch);
   }
-}
-
-std::vector<vertex_id> DendrogramSnapshot::cluster_report(vertex_id u,
-                                                          double tau) const {
-  int32_t top = top_of(u, tau);
-  if (top == kNoSlot) return {u};
-  std::vector<vertex_id> out;
-  out.reserve(node(top).count);
-  members_of(top, out);
-  return out;
 }
 
 DendrogramSnapshot::FlatLabels DendrogramSnapshot::flat_labels(
@@ -626,10 +604,6 @@ DendrogramSnapshot::FlatLabels DendrogramSnapshot::flat_labels(
   }
   out.hist.assign(hist.begin(), hist.end());
   return out;
-}
-
-std::vector<vertex_id> DendrogramSnapshot::flat_clustering(double tau) const {
-  return flat_labels(tau).label;
 }
 
 }  // namespace dynsld::engine

@@ -32,11 +32,14 @@
 // opaque to every reader — answers, labels, member order and codec
 // bytes depend only on rank order, never on which ids DynSLD assigned.
 //
-// Every query method is const and safe from any number of threads.
-// Readers hold the snapshot via shared_ptr, which doubles as the epoch
-// reclamation scheme: a superseded snapshot is freed when its last
-// reader drops it, returning the chunks no other epoch shares to the
-// shard's free lists.
+// The snapshot is data plus the primitives ThresholdView reads
+// (top_of, slot_count, members_of, num_clusters, flat_labels); it
+// answers no §6.1 query itself — ThresholdView is the one answerer
+// over frozen state. Every primitive is const and safe from any number
+// of threads. Readers hold the snapshot via shared_ptr, which doubles
+// as the epoch reclamation scheme: a superseded snapshot is freed when
+// its last reader drops it, returning the chunks no other epoch shares
+// to the shard's free lists.
 //
 // Shard-local vertex spaces: a sharded backend keeps each shard's
 // DynamicClustering over local ids [0, stride). The snapshot is built
@@ -212,12 +215,6 @@ class DendrogramSnapshot {
   /// when v is a singleton at tau. O(log h).
   int32_t top_of(vertex_id v, double tau) const;
 
-  /// §6.1 threshold query. O(log h).
-  bool same_cluster(vertex_id s, vertex_id t, double tau) const;
-
-  /// Vertex count of v's cluster at tau. O(log h).
-  uint64_t cluster_size(vertex_id u, double tau) const;
-
   /// Number of clusters of the shard's subgraph at threshold tau,
   /// singletons included. Each dendrogram node is one MSF edge and
   /// each sub-tau edge merges two clusters, so the count is n minus
@@ -230,9 +227,6 @@ class DendrogramSnapshot {
   /// higher-ranked child first. O(|cluster|).
   void members_of(int32_t top, std::vector<vertex_id>& out) const;
 
-  /// §6.1 cluster report. O(log h + |cluster|).
-  std::vector<vertex_id> cluster_report(vertex_id u, double tau) const;
-
   /// One shard's flat-label block at threshold tau: canonical labels
   /// over the local vertex range plus the shard's cluster-size
   /// histogram (singletons included). The label of a cluster is the
@@ -240,7 +234,7 @@ class DendrogramSnapshot {
   /// function of (snapshot, tau), so two passes over the same snapshot
   /// agree bit-for-bit. This determinism is what lets the view plane
   /// patch label arrays across epochs instead of rebuilding them
-  /// (cluster_view.hpp).
+  /// (ThresholdView).
   struct FlatLabels {
     std::vector<vertex_id> label;  // local index -> global canonical label
     std::vector<std::pair<uint64_t, uint64_t>> hist;  // size -> clusters, asc
@@ -252,11 +246,6 @@ class DendrogramSnapshot {
   /// vertex pass reads labels off e*_v. O(n + |nodes|) — no per-vertex
   /// binary lifting.
   FlatLabels flat_labels(double tau) const;
-
-  /// §6.1 flat clustering over the local vertex range; label[i] is a
-  /// member vertex (global id) of local vertex i's cluster — the
-  /// canonical label of flat_labels(). O(n + |nodes|).
-  std::vector<vertex_id> flat_clustering(double tau) const;
 
   /// Endpoints/weight/vertex-count of a slot (merged-query plumbing;
   /// endpoints are global ids).

@@ -196,7 +196,11 @@ Replica::Replica(Options opt) : opt_(std::move(opt)) {
     // batch under the checkpoint's ticket floor, onto a fresh engine.
     engine::MutationQueue::Drained image;
     image.inserts = std::move(ck.live);
-    svc_->replay(ck.epoch, image, ck.next_ticket);
+    if (svc_->replay(ck.epoch, image, ck.next_ticket) ==
+        engine::SldService::ReplayResult::kRefused)
+      throw std::runtime_error("Replica: bootstrap checkpoint at epoch " +
+                               std::to_string(ck.epoch) +
+                               " refused by the local engine");
     applied_ = ck.epoch;
   }
   live_ = true;

@@ -133,7 +133,7 @@ class Replica {
 
   /// Connects, handshakes, bootstraps, and starts the tail thread.
   /// Throws std::runtime_error on connection failure, shape mismatch,
-  /// or a malformed bootstrap.
+  /// or a malformed or refused bootstrap checkpoint.
   explicit Replica(Options opt);
   /// Stops the tail thread (shutting the socket down unblocks it).
   ~Replica();

@@ -275,8 +275,8 @@ Compactor::Result Compactor::run(FileBackend& backend,
   }
   std::sort(ckpts.begin(), ckpts.end());
   std::sort(segs.begin(), segs.end());
-  size_t retain = opts.retain_checkpoints ? opts.retain_checkpoints : 1;
   if (ckpts.empty()) return res;  // no horizon yet: keep everything
+  const size_t retain = opts.retain_checkpoints;  // >= 1 (validate())
   size_t drop = ckpts.size() > retain ? ckpts.size() - retain : 0;
   for (size_t i = 0; i < drop; ++i) {
     if (backend.remove(opts.dir + "/" + CheckpointWriter::file_name(ckpts[i])))

@@ -131,7 +131,8 @@ class Compactor {
     size_t segments_removed = 0;
   };
 
-  /// Run one pass over `opts.dir`. `obs` (nullable) receives the
+  /// Run one pass over `opts.dir`; `opts` has passed
+  /// PersistOptions::validate(). `obs` (nullable) receives the
   /// *_removed counters.
   static Result run(FileBackend& backend, const PersistOptions& opts,
                     engine::EngineObs* obs);

@@ -70,8 +70,8 @@ struct PersistOptions {
 
   /// Reject nonsensical knob combinations up front with a typed error
   /// instead of silently clamping them at the point of use (a zero
-  /// rehydrate_cache used to behave as capacity 1, which lied about
-  /// the memory budget the caller asked for). Called by
+  /// rehydrate_cache or retain_checkpoints would otherwise have to
+  /// behave as 1, lying about the budget the caller asked for). Called by
   /// PersistenceManager on construction — both the fresh-service and
   /// recover() paths go through it.
   void validate() const {
@@ -85,6 +85,10 @@ struct PersistOptions {
     if (checkpoint_every == 0)
       throw std::invalid_argument(
           "PersistOptions.checkpoint_every must be >= 1");
+    if (retain_checkpoints == 0)
+      throw std::invalid_argument(
+          "PersistOptions.retain_checkpoints must be >= 1 (compaction "
+          "keeps the newest checkpoint as the replay base)");
   }
 };
 

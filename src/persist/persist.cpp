@@ -145,6 +145,14 @@ History read_history(FileBackend& backend, const std::string& dir) {
   return h;
 }
 
+HistoryRefused::HistoryRefused(uint64_t epoch, const char* unit)
+    : std::runtime_error("persist::recover: " + std::string(unit) +
+                         " at epoch " + std::to_string(epoch) +
+                         " does not fit the configured engine (an edge "
+                         "outside num_vertices, a self-loop or a "
+                         "non-finite weight)"),
+      epoch_(epoch) {}
+
 RecoverResult recover(engine::ServiceConfig cfg,
                       std::shared_ptr<FileBackend> backend) {
   if (!cfg.persist.enabled())
@@ -164,29 +172,34 @@ RecoverResult recover(engine::ServiceConfig cfg,
   auto pm =
       std::make_unique<PersistenceManager>(opts, backend, svc->obs_shared());
 
-  // Repair the directory where the history ended, so the resumed
-  // writer appends right after the last replayable record.
+  // Replay before repairing anything: history the engine refuses
+  // throws with the directory untouched.
+  using Replay = engine::SldService::ReplayResult;
   History h = read_history(*backend, opts.dir);
-  for (const std::string& name : h.dropped)
-    backend->remove(opts.dir + "/" + name);
-  if (!h.tail_segment.empty()) {
-    backend->truncate(opts.dir + "/" + h.tail_segment, h.tail_bytes);
-    pm->resume_segment(h.tail_segment);
-  }
-
   RecoverResult res;
   res.torn_tail_truncated = h.torn;
   if (!h.checkpoint_bytes.empty()) {
     engine::MutationQueue::Drained image;
     image.inserts = std::move(h.checkpoint.live);
-    svc->replay(h.checkpoint.epoch, image, h.checkpoint.next_ticket);
+    if (svc->replay(h.checkpoint.epoch, image, h.checkpoint.next_ticket) ==
+        Replay::kRefused)
+      throw HistoryRefused(h.checkpoint.epoch, "checkpoint");
     pm->set_last_checkpoint(h.checkpoint.epoch);
     res.checkpoint_epoch = h.checkpoint.epoch;
   }
   for (const WalRecord& rec : h.records) {
-    if (svc->replay(rec.epoch, rec.batch) ==
-        engine::SldService::ReplayResult::kApplied)
-      ++res.records_replayed;
+    const Replay r = svc->replay(rec.epoch, rec.batch);
+    if (r == Replay::kRefused) throw HistoryRefused(rec.epoch, "WAL record");
+    if (r == Replay::kApplied) ++res.records_replayed;
+  }
+
+  // Repair the directory where the history ended, so the resumed
+  // writer appends right after the last replayable record.
+  for (const std::string& name : h.dropped)
+    backend->remove(opts.dir + "/" + name);
+  if (!h.tail_segment.empty()) {
+    backend->truncate(opts.dir + "/" + h.tail_segment, h.tail_bytes);
+    pm->resume_segment(h.tail_segment);
   }
   res.tip_epoch = svc->epoch();
   if (res.records_replayed)

@@ -27,6 +27,11 @@
 // recover(cfg) replays that through SldService::replay, truncates the
 // tail segment where the history ended, drops the segments past it,
 // and attaches a PersistenceManager positioned to continue there.
+// History the configured engine refuses (an edge outside its vertex
+// range — a directory written under a larger num_vertices — a
+// self-loop, a non-finite weight) throws HistoryRefused before the
+// directory is touched: recovering a shorter history would let the
+// next writer append over the rest.
 //
 // The recovered engine is bit-for-bit the logged one: same tickets,
 // same endpoint-ledger resolution, same epoch numbers, same labels and
@@ -38,6 +43,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -156,6 +162,20 @@ struct History {
 /// there is just the append in flight).
 History read_history(FileBackend& backend, const std::string& dir);
 
+/// recover() met a checkpoint image or WAL record that
+/// SldService::replay refused (see the header comment); `epoch()`
+/// names it. The directory is left as it was.
+class HistoryRefused : public std::runtime_error {
+ public:
+  /// `unit` names what was refused ("checkpoint", "WAL record").
+  HistoryRefused(uint64_t epoch, const char* unit);
+  /// Epoch of the refused checkpoint image or record.
+  uint64_t epoch() const { return epoch_; }
+
+ private:
+  uint64_t epoch_;
+};
+
 /// What recover() reconstructed.
 struct RecoverResult {
   /// The recovered engine, persistence attached and positioned to
@@ -175,7 +195,8 @@ struct RecoverResult {
 /// Rebuild a service from `cfg.persist.dir` (see the header comment
 /// for the protocol). `cfg` must have persistence enabled; an empty or
 /// missing directory recovers to a fresh epoch-0 engine. Throws
-/// std::invalid_argument when cfg.persist.dir is empty.
+/// std::invalid_argument when cfg.persist.dir is empty, and
+/// HistoryRefused when the history does not fit `cfg`.
 RecoverResult recover(engine::ServiceConfig cfg,
                       std::shared_ptr<FileBackend> backend = nullptr);
 

@@ -51,20 +51,34 @@ TEST(DendrogramSnapshot, MatchesLiveQueriesOnRandomForest) {
       if (dc.edge_alive(h)) dc.erase_edge(h);
     }
   }
+  // The snapshot's primitives (top_of, slot_count, members_of,
+  // flat_labels) against the live DynSLD: a vertex with no top node is
+  // a singleton, otherwise its cluster is the top slot's.
+  constexpr int32_t kNoSlot = DendrogramSnapshot::kNoSlot;
   auto snap = DendrogramSnapshot::build(dc.sld());
   for (double tau : {0.0, 0.05, 0.2, 0.4, 0.6, 0.85, 1.0}) {
     auto live = dc.sld().flat_clustering(tau);
-    auto frozen = snap->flat_clustering(tau);
+    auto frozen = snap->flat_labels(tau).label;
     expect_same_partition(live, frozen);
     for (vertex_id u = 0; u < n; ++u) {
-      EXPECT_EQ(snap->cluster_size(u, tau), dc.sld().cluster_size(u, tau))
+      const int32_t top = snap->top_of(u, tau);
+      const uint64_t size = top == kNoSlot ? 1 : snap->slot_count(top);
+      EXPECT_EQ(size, dc.sld().cluster_size(u, tau))
           << "u=" << u << " tau=" << tau;
-      auto rep = snap->cluster_report(u, tau);
-      EXPECT_EQ(rep.size(), snap->cluster_size(u, tau));
+      std::vector<vertex_id> rep;
+      if (top == kNoSlot) {
+        rep.push_back(u);
+      } else {
+        snap->members_of(top, rep);
+      }
+      EXPECT_EQ(rep.size(), size);
     }
     for (int q = 0; q < 200; ++q) {
       vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-      EXPECT_EQ(snap->same_cluster(s, t, tau), dc.sld().same_cluster(s, t, tau));
+      const int32_t top_s = snap->top_of(s, tau);
+      const bool same =
+          s == t || (top_s != kNoSlot && top_s == snap->top_of(t, tau));
+      EXPECT_EQ(same, dc.sld().same_cluster(s, t, tau));
     }
   }
 }
@@ -96,37 +110,30 @@ TEST(MutationQueue, CoalescesInsertErasePairs) {
   EXPECT_EQ(stats.duplicate_erases.load(), 1u);
 }
 
-/// Ticket-ledger edge cases around the batch dirty set: annihilation
-/// must leave the dirty set empty, double erases must not double-mark,
-/// and re-insert-after-erase inside one batch dirties the shard exactly
-/// once through both ops.
+/// Ticket-ledger edge cases: annihilation must leave the drained batch
+/// empty, a double erase must queue once, and re-insert-after-erase
+/// inside one batch drains both ops.
 TEST(MutationQueue, AnnihilationLeavesDirtySetEmpty) {
-  const ShardMap map = ShardMap::make(40, 2);  // stride 20
   EngineStats stats;
   MutationQueue q(&stats);
 
   // Erase-by-endpoints of a not-yet-flushed insert: annihilates in the
-  // queue; the drained batch is empty and dirties nothing.
+  // queue; the drained batch is empty.
   q.enqueue_insert(1, 2, 0.5);
   EXPECT_TRUE(q.enqueue_erase(vertex_id{1}, vertex_id{2}));
   auto d = q.drain();
   EXPECT_TRUE(d.empty());
-  EXPECT_FALSE(d.dirty_set(map).any());
   EXPECT_EQ(stats.coalesced_pairs.load(), 1u);
 
   // Same via ticket, cross-shard edge: still nothing reaches the
-  // shards, and the cross flag stays clear.
+  // shards or the cross table.
   ticket_t t = q.enqueue_insert(3, 25, 0.7);
   q.enqueue_erase(t);
   d = q.drain();
   EXPECT_TRUE(d.empty());
-  auto dirty = d.dirty_set(map);
-  EXPECT_FALSE(dirty.any());
-  EXPECT_FALSE(dirty.cross);
 }
 
 TEST(MutationQueue, DoubleEraseMarksDirtyOnce) {
-  const ShardMap map = ShardMap::make(40, 2);
   EngineStats stats;
   MutationQueue q(&stats);
   ticket_t t = q.enqueue_insert(21, 22, 0.4);  // shard 1
@@ -137,10 +144,6 @@ TEST(MutationQueue, DoubleEraseMarksDirtyOnce) {
   auto d = q.drain();
   ASSERT_EQ(d.erases.size(), 1u);
   EXPECT_EQ(d.erases[0].u, 21u);
-  auto dirty = d.dirty_set(map);
-  EXPECT_EQ(dirty.shards[0], 0);
-  EXPECT_EQ(dirty.shards[1], 1);
-  EXPECT_FALSE(dirty.cross);
   // Counter triple: the real erase and its ticket-duplicate both count
   // as enqueued erase traffic; the endpoint-ledger miss enqueued
   // NOTHING, so it must not inflate either of those — it gets its own
@@ -205,7 +208,6 @@ TEST(ShardRouter, PatchViabilityFallbackOnLargeCut) {
 }
 
 TEST(MutationQueue, ReinsertAfterEraseInOneBatch) {
-  const ShardMap map = ShardMap::make(40, 2);
   MutationQueue q;
   ticket_t old_t = q.enqueue_insert(5, 6, 0.9);
   (void)q.drain();  // applied in an earlier epoch
@@ -218,9 +220,6 @@ TEST(MutationQueue, ReinsertAfterEraseInOneBatch) {
   ASSERT_EQ(d.erases.size(), 1u);
   EXPECT_EQ(d.erases[0].ticket, old_t);
   EXPECT_EQ(d.inserts[0].ticket, new_t);
-  auto dirty = d.dirty_set(map);
-  EXPECT_EQ(dirty.shards[0], 1);
-  EXPECT_EQ(dirty.shards[1], 0);
   // The replacement is the live (5, 6) copy now.
   EXPECT_TRUE(q.enqueue_erase(vertex_id{6}, vertex_id{5}));
   EXPECT_FALSE(q.enqueue_erase(vertex_id{5}, vertex_id{6}));
@@ -282,14 +281,15 @@ TEST(SldService, MatchesReferenceAcrossEpochs) {
       svc.flush();
       auto snap = svc.snapshot();
       for (double tau : {0.1, 0.35, 0.7}) {
+        ThresholdView tv(snap, tau);
         auto ref = reference_labels(n, snap->captured_edges(), tau);
-        expect_same_partition(ref, snap->flat_clustering(tau));
+        expect_same_partition(ref, tv.flat_clustering());
         for (int q = 0; q < 30; ++q) {
           vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-          EXPECT_EQ(snap->same_cluster(s, t, tau), ref[s] == ref[t]);
+          EXPECT_EQ(tv.same_cluster(s, t), ref[s] == ref[t]);
         }
         vertex_id u = rng.next_bounded(n);
-        EXPECT_EQ(snap->cluster_size(u, tau), ref_cluster_size(ref, u));
+        EXPECT_EQ(tv.cluster_size(u), ref_cluster_size(ref, u));
       }
     }
   }
@@ -331,17 +331,18 @@ TEST(SldService, ShardedMatchesReference) {
       svc.flush();
       auto snap = svc.snapshot();
       for (double tau : {0.15, 0.5, 0.9}) {
+        ThresholdView tv(snap, tau);
         auto ref = reference_labels(n, snap->captured_edges(), tau);
-        expect_same_partition(ref, snap->flat_clustering(tau));
+        expect_same_partition(ref, tv.flat_clustering());
         for (int q = 0; q < 40; ++q) {
           vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-          EXPECT_EQ(snap->same_cluster(s, t, tau), ref[s] == ref[t])
+          EXPECT_EQ(tv.same_cluster(s, t), ref[s] == ref[t])
               << "s=" << s << " t=" << t << " tau=" << tau;
         }
         for (int q = 0; q < 10; ++q) {
           vertex_id u = rng.next_bounded(n);
-          EXPECT_EQ(snap->cluster_size(u, tau), ref_cluster_size(ref, u));
-          auto rep = snap->cluster_report(u, tau);
+          EXPECT_EQ(tv.cluster_size(u), ref_cluster_size(ref, u));
+          auto rep = tv.cluster_report(u);
           EXPECT_EQ(rep.size(), ref_cluster_size(ref, u));
         }
       }
@@ -409,14 +410,15 @@ TEST(SldService, StressReadersVsWriterMatchKruskalReference) {
       while (!done.load(std::memory_order_acquire)) {
         auto snap = svc.snapshot();
         double tau = (1 + rng.next_bounded(9)) * 0.1;
+        ThresholdView tv(snap, tau);
         auto& ref = cache[snap->epoch()][tau];
         if (ref.empty())
           ref = reference_labels(n, snap->captured_edges(), tau);
         vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-        ASSERT_EQ(snap->same_cluster(s, t, tau), ref[s] == ref[t])
+        ASSERT_EQ(tv.same_cluster(s, t), ref[s] == ref[t])
             << "epoch " << snap->epoch() << " tau " << tau;
-        ASSERT_EQ(snap->cluster_size(s, tau), ref_cluster_size(ref, s));
-        expect_same_partition(ref, snap->flat_clustering(tau));
+        ASSERT_EQ(tv.cluster_size(s), ref_cluster_size(ref, s));
+        expect_same_partition(ref, tv.flat_clustering());
         checks.fetch_add(1, std::memory_order_relaxed);
         if (cache.size() > 8) cache.erase(cache.begin());
       }
@@ -581,12 +583,12 @@ TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
   EXPECT_GT(tv->num_cross_groups(), 0u);
   EXPECT_EQ(view.at(0.6).get(), tv.get());  // memoized, same resolution
 
-  // The per-call conveniences pay one resolution per call — the view
-  // plane's amortization is real, not bookkeeping.
+  // One view per call pays one resolution per call — the view plane's
+  // amortization is real, not bookkeeping.
   uf_before = svc.stats().cross_uf_builds;
   auto snap = svc.snapshot();
-  snap->same_cluster(0, 21, 0.6);
-  snap->cluster_size(0, 0.6);
+  ThresholdView(snap, 0.6).same_cluster(0, 21);
+  ThresholdView(snap, 0.6).cluster_size(0);
   EXPECT_EQ(svc.stats().cross_uf_builds - uf_before, 2u);
 }
 
@@ -684,17 +686,18 @@ TEST(SldService, ShardLocalSpacesUnevenRanges) {
   }
   EXPECT_EQ(snap->shard(3).num_vertices(), 11u);
   for (double tau : {0.2, 0.55, 0.85}) {
+    ThresholdView tv(snap, tau);
     auto ref = reference_labels(n, snap->captured_edges(), tau);
-    expect_same_partition(ref, snap->flat_clustering(tau));
+    expect_same_partition(ref, tv.flat_clustering());
     for (int q = 0; q < 60; ++q) {
       vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-      EXPECT_EQ(snap->same_cluster(s, t, tau), ref[s] == ref[t])
+      EXPECT_EQ(tv.same_cluster(s, t), ref[s] == ref[t])
           << "s=" << s << " t=" << t << " tau=" << tau;
     }
     for (int q = 0; q < 15; ++q) {
       vertex_id u = rng.next_bounded(n);
-      EXPECT_EQ(snap->cluster_size(u, tau), ref_cluster_size(ref, u));
-      EXPECT_EQ(snap->cluster_report(u, tau).size(), ref_cluster_size(ref, u));
+      EXPECT_EQ(tv.cluster_size(u), ref_cluster_size(ref, u));
+      EXPECT_EQ(tv.cluster_report(u).size(), ref_cluster_size(ref, u));
     }
   }
 }
@@ -916,7 +919,7 @@ TEST(Replay, SlidingWindowTraceMatchesReference) {
   EXPECT_GT(rep.epochs_published, 0u);
   auto snap = svc.snapshot();
   auto ref = reference_labels(tr.num_vertices, snap->captured_edges(), 0.35);
-  expect_same_partition(ref, snap->flat_clustering(0.35));
+  expect_same_partition(ref, ThresholdView(snap, 0.35).flat_clustering());
 }
 
 // ---- stable-slot, chunk-shared snapshots ------------------------------

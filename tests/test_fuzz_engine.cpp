@@ -530,8 +530,9 @@ TEST(FuzzEngine, RecoverAndDiffReplaysSchedulesBitForBit) {
           uint64_t e = svc.flush();
           if (e == before) continue;  // empty batch: no epoch published
           auto snap = svc.snapshot();
-          fps[e] = {snap->flat_clustering(taus[0]),
-                    snap->flat_clustering(taus[1])};
+          ClusterView view(snap);
+          fps[e] = {view.at(taus[0])->flat_clustering(),
+                    view.at(taus[1])->flat_clustering()};
         }
       }  // destructor = clean shutdown; the directory is the survivor
 
@@ -544,8 +545,9 @@ TEST(FuzzEngine, RecoverAndDiffReplaysSchedulesBitForBit) {
         SCOPED_TRACE("epoch=" + std::to_string(e));
         auto snap = res.service->snapshot_at(e);
         ASSERT_TRUE(snap);
-        EXPECT_EQ(snap->flat_clustering(taus[0]), labels[0]);
-        EXPECT_EQ(snap->flat_clustering(taus[1]), labels[1]);
+        ClusterView view(snap);
+        EXPECT_EQ(view.at(taus[0])->flat_clustering(), labels[0]);
+        EXPECT_EQ(view.at(taus[1])->flat_clustering(), labels[1]);
       }
       res.service.reset();
       fs::remove_all(dir);
@@ -629,7 +631,7 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
       shard_bytes[e] = pa.bytes();
       for (double tau : {0.3, 0.7}) {
         auto ref = reference_labels(n, snap->captured_edges(), tau);
-        expect_same_partition(ref, snap->flat_clustering(tau));
+        expect_same_partition(ref, ThresholdView(snap, tau).flat_clustering());
       }
     }
 
@@ -804,7 +806,7 @@ TEST(FuzzEngine, DeepChainPatchesMatchFreshBuilds) {
     ASSERT_EQ(pa.bytes(), pb.bytes()) << "round " << round;
     for (double tau : {0.25, 0.75}) {
       auto ref = reference_labels(n, snap->captured_edges(), tau);
-      expect_same_partition(ref, snap->flat_clustering(tau));
+      expect_same_partition(ref, ThresholdView(snap, tau).flat_clustering());
     }
   }
   const EngineStats::Report r = svc.stats();

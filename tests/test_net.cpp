@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/cluster_view.hpp"
 #include "engine/query.hpp"
 #include "engine/sld_service.hpp"
 #include "net/client.hpp"
@@ -129,8 +130,9 @@ std::string snapshot_bytes(const SldService& svc, uint64_t epoch) {
   w.u64(snap->epoch());
   for (int k = 0; k < 3; ++k)
     persist::SnapshotCodec::encode_shard(snap->shard(k), w);
+  engine::ClusterView view(snap);
   for (double tau : {0.15, 0.35, 0.55, 0.75, 0.95})
-    w.pod_vec(snap->flat_clustering(tau));
+    w.pod_vec(view.at(tau)->flat_clustering());
   return w.take();
 }
 

@@ -18,9 +18,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -150,8 +152,8 @@ struct EpochFingerprint {
 
 EpochFingerprint fingerprint(const EpochManager::Snap& snap, double tau) {
   EpochFingerprint fp;
-  fp.labels = snap->flat_clustering(tau);
   ClusterView view(snap);
+  fp.labels = view.at(tau)->flat_clustering();
   fp.hist = view.at(tau)->size_histogram();
   fp.num_clusters = view.at(tau)->num_clusters();
   return fp;
@@ -419,6 +421,12 @@ TEST(Persist, OptionsValidateRejectsZeroKnobs) {
     c.persist.checkpoint_every = 0;
     EXPECT_THROW(SldService svc(c), std::invalid_argument);
   }
+  {
+    ServiceConfig c = cfg;
+    c.persist.retain_checkpoints = 0;  // used to be silently clamped to 1
+    EXPECT_THROW(SldService svc(c), std::invalid_argument);
+    EXPECT_THROW(persist::recover(c), std::invalid_argument);
+  }
   // fsync_every_n = 0 is legal when the policy never reads it.
   {
     ServiceConfig c = cfg;
@@ -499,7 +507,8 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   EXPECT_EQ(decoded->cross().size(), snap->cross().size());
   EXPECT_EQ(decoded->captured_edges().size(), snap->captured_edges().size());
   for (double tau : {0.2, 0.5, 0.9})
-    EXPECT_EQ(decoded->flat_clustering(tau), snap->flat_clustering(tau));
+    EXPECT_EQ(ThresholdView(decoded, tau).flat_clustering(),
+              ThresholdView(snap, tau).flat_clustering());
   // Byte-exactness: re-encoding the decoded snapshot reproduces the
   // original encoding bit for bit.
   persist::ByteWriter w2;
@@ -752,6 +761,128 @@ TEST(Replay, EpochContractSkipsOverlapRefusesGapsAndLateBootstraps) {
   EXPECT_EQ(fresh.replay(41, insert_batch(30, 4, 5, 0.3)), R::kApplied);
   EXPECT_EQ(fresh.insert(6, 7, 0.4), 31u);
   EXPECT_TRUE(fresh.same_cluster(2, 3, 0.5));
+}
+
+/// Every counter of two reports, field by field (named on failure).
+void expect_counters_eq(const EngineStats::Report& a,
+                        const EngineStats::Report& b) {
+#define DYNSLD_EXPECT_COUNTER(name) EXPECT_EQ(a.name, b.name) << #name;
+  DYNSLD_ENGINE_COUNTERS(DYNSLD_EXPECT_COUNTER)
+#undef DYNSLD_EXPECT_COUNTER
+}
+
+/// Replayed history is outside input: a batch holding an insert the
+/// engine cannot hold — an endpoint past num_vertices (in or out of a
+/// shard's range), a self-loop, a non-finite weight — is refused whole,
+/// as a WAL record and as a checkpoint image, and leaves the engine
+/// exactly as it was: epoch, pending queue, counters, ticket counter.
+TEST(Replay, RefusesInsertsTheEngineCannotHold) {
+  using R = SldService::ReplayResult;
+  ServiceConfig cfg;
+  cfg.num_vertices = 32;  // two shards of 16
+  cfg.num_shards = 2;
+  const double inf = std::numeric_limits<double>::infinity();
+  const MutationQueue::InsertOp malformed[] = {
+      {5, 40, 41, 0.2},  // both past n, homed in a shard that is not there
+      {5, 3, 40, 0.2},   // a cross-shard edge reaching past n
+      {5, 32, 1, 0.2},   // the first id past n
+      {5, 7, 7, 0.2},    // self-loop
+      {5, 2, 3, std::nan("")},
+      {5, 2, 3, inf},
+      {5, 2, 3, -inf},
+  };
+  for (const MutationQueue::InsertOp& op : malformed) {
+    SCOPED_TRACE("insert (" + std::to_string(op.u) + ", " +
+                 std::to_string(op.v) + ", " + std::to_string(op.w) + ")");
+    // A well-formed insert rides along: the refusal is of the batch.
+    MutationQueue::Drained batch = insert_batch(1, 2, 3, 0.2);
+    batch.inserts.push_back(op);
+
+    // As the next WAL record of an engine with history and a pending
+    // insert.
+    SldService svc(cfg);
+    ASSERT_EQ(svc.replay(1, insert_batch(0, 0, 1, 0.1)), R::kApplied);
+    ASSERT_EQ(svc.insert(4, 5, 0.3), 1u);
+    const EngineStats::Report before = svc.stats();
+    EXPECT_EQ(svc.replay(2, batch), R::kRefused);
+    EXPECT_EQ(svc.epoch(), 1u);
+    EXPECT_EQ(svc.pending_updates(), 1u);
+    expect_counters_eq(svc.stats(), before);
+    // Nothing of it landed: the ticket counter did not rise past the
+    // refused tickets, and the pending insert publishes as epoch 2.
+    EXPECT_EQ(svc.insert(6, 7, 0.4), 2u);
+    EXPECT_EQ(svc.flush(), 2u);
+    EXPECT_FALSE(svc.same_cluster(2, 3, 0.9));
+
+    // As a checkpoint image onto a fresh engine.
+    SldService fresh(cfg);
+    const EngineStats::Report fresh_before = fresh.stats();
+    EXPECT_EQ(fresh.replay(10, batch, /*ticket_floor=*/20), R::kRefused);
+    EXPECT_EQ(fresh.epoch(), 0u);
+    EXPECT_EQ(fresh.pending_updates(), 0u);
+    expect_counters_eq(fresh.stats(), fresh_before);
+    EXPECT_EQ(fresh.insert(6, 7, 0.4), 0u);
+  }
+}
+
+/// Every file of `dir` and its bytes.
+std::map<std::string, std::string> dir_contents(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return out;
+}
+
+/// A directory written under num_vertices = 64 does not fit an engine
+/// of 32: recover() throws HistoryRefused naming the first epoch that
+/// reaches past the range — as a checkpoint image or as a WAL record —
+/// instead of recovering the shorter history before it (which the next
+/// writer would append over). The directory is left byte-for-byte as
+/// it was, so recovering under the right config still works.
+TEST(Persist, RecoverRefusesHistoryWrittenForMoreVertices) {
+  for (bool with_checkpoint : {false, true}) {
+    SCOPED_TRACE(with_checkpoint ? "checkpoint at epoch 2" : "WAL only");
+    TempDir dir;
+    ServiceConfig cfg;
+    cfg.num_vertices = 64;
+    cfg.num_shards = 2;
+    cfg.persist.dir = dir.path;
+    cfg.persist.checkpoint_every = with_checkpoint ? 2 : 1'000'000;
+    {
+      SldService svc(cfg);
+      svc.insert(0, 1, 0.1);  // epoch 1 fits 32 vertices
+      svc.flush();
+      svc.insert(40, 41, 0.2);  // intra-shard past 32
+      svc.insert(3, 50, 0.3);   // cross-shard past 32
+      svc.flush();
+      svc.insert(2, 3, 0.4);
+      svc.flush();
+      ASSERT_EQ(svc.stats().checkpoints_written, with_checkpoint ? 1u : 0u);
+    }
+    const auto files = dir_contents(dir.path);
+
+    ServiceConfig small = cfg;
+    small.num_vertices = 32;
+    try {
+      persist::recover(small);
+      ADD_FAILURE() << "recover() accepted history past num_vertices";
+    } catch (const persist::HistoryRefused& e) {
+      EXPECT_EQ(e.epoch(), 2u);
+      EXPECT_NE(std::string(e.what())
+                    .find(with_checkpoint ? "checkpoint" : "WAL record"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(dir_contents(dir.path), files);
+
+    auto res = persist::recover(cfg);
+    ASSERT_TRUE(res.service);
+    EXPECT_EQ(res.tip_epoch, 3u);
+    EXPECT_TRUE(res.service->same_cluster(40, 41, 0.5));
+  }
 }
 
 /// The checkpoint's live-edge table is enumerated from the router's
