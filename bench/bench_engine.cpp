@@ -14,10 +14,11 @@
 //      ThresholdView per call vs one shared ThresholdView vs one batched
 //      ClusterView::run() — one cross-shard merge resolution amortized
 //      over the whole batch.
-//   5. Subscription refresh: skewed traffic keeps hammering one shard
-//      of eight; a SubscribedView refreshing per epoch (incremental:
-//      clean shards' endpoint tops reused, blob union-find re-run) vs
-//      a fresh view()+at(tau) (full resolution) per epoch.
+//   5. View refresh: skewed traffic keeps hammering one shard of
+//      eight; a held ThresholdView carried to each epoch through
+//      ThresholdView::refreshed (incremental: clean shards' endpoint
+//      tops reused, blob union-find re-run) vs a fresh view()+at(tau)
+//      (full resolution) per epoch.
 //   6. Flat-label maintenance: same skewed traffic; the refreshed
 //      view's flat_clustering() patches the previous epoch's label
 //      array (dirty shard ranges + cross groups) vs the fresh view's
@@ -63,9 +64,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "engine/replay.hpp"
+#include "replay.hpp"
 #include "engine/sld_service.hpp"
-#include "engine/subscription.hpp"
 #include "net/client.hpp"
 #include "net/replication.hpp"
 #include "net/server.hpp"
@@ -312,9 +312,9 @@ static void view_amortization(bool smoke) {
   (void)results;
 }
 
-static void subscription_refresh(bool smoke) {
+static void view_refresh(bool smoke) {
   bench::header("E-ENGINE-5",
-                "subscription refresh vs fresh view (1 of 8 shards dirty)");
+                "refreshed view vs fresh view (1 of 8 shards dirty)");
   const int shards = 8, block = smoke ? 256 : 2048;
   const vertex_id n = static_cast<vertex_id>(shards) * block;
   const double tau = 0.6;
@@ -347,12 +347,12 @@ static void subscription_refresh(bool smoke) {
   }
   svc.flush();
 
-  SubscribedView sub(svc);
-  sub.at(tau);  // initial full resolution (not timed)
+  // Initial full resolution (not timed).
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
 
   const int rounds = smoke ? 30 : 100, churn = smoke ? 64 : 256;
   std::vector<ticket_t> hot_live;
-  double fresh_ms = 0, sub_ms = 0;
+  double fresh_ms = 0, refresh_ms = 0;
   size_t sanity = 0;
   auto before = svc.stats();
   for (int r = 0; r < rounds; ++r) {
@@ -379,10 +379,11 @@ static void subscription_refresh(bool smoke) {
     fresh_ms += now_ms() - t0;
 
     t0 = now_ms();
-    sub.refresh();  // incremental: 7 of 8 shards' tops reused
-    sub_ms += now_ms() - t0;
+    // Incremental: 7 of 8 shards' tops reused.
+    tv = ThresholdView::refreshed(tv, svc.snapshot());
+    refresh_ms += now_ms() - t0;
 
-    sanity += sub.at(tau)->num_cross_groups() == ftv->num_cross_groups();
+    sanity += tv->num_cross_groups() == ftv->num_cross_groups();
   }
   auto after = svc.stats();
 
@@ -391,8 +392,8 @@ static void subscription_refresh(bool smoke) {
              (size_t)svc.snapshot()->cross().size(), rounds);
   bench::row("%-26s %10.3f ms/epoch", "fresh view()+at(tau):",
              fresh_ms / rounds);
-  bench::row("%-26s %10.3f ms/epoch  %.1fx", "subscription refresh:",
-             sub_ms / rounds, sub_ms > 0 ? fresh_ms / sub_ms : 0.0);
+  bench::row("%-26s %10.3f ms/epoch  %.1fx", "refreshed view:",
+             refresh_ms / rounds, refresh_ms > 0 ? fresh_ms / refresh_ms : 0.0);
   bench::row("%-26s %.1f reused / %.1f rebuilt per refresh; %llu incremental, "
              "%llu full",
              "shards per refresh:",
@@ -409,9 +410,9 @@ static void subscription_refresh(bool smoke) {
   bench::json_log().metric("E-ENGINE-5", "fresh_ms_per_epoch",
                            fresh_ms / rounds, "ms");
   bench::json_log().metric("E-ENGINE-5", "refresh_ms_per_epoch",
-                           sub_ms / rounds, "ms");
+                           refresh_ms / rounds, "ms");
   bench::json_log().metric("E-ENGINE-5", "refresh_speedup",
-                           sub_ms > 0 ? fresh_ms / sub_ms : 0.0, "x");
+                           refresh_ms > 0 ? fresh_ms / refresh_ms : 0.0, "x");
   if (sanity != static_cast<size_t>(rounds))
     bench::row("WARNING: refresh/fresh divergence in %zu rounds",
                rounds - sanity);
@@ -453,8 +454,8 @@ static void label_maintenance(bool smoke) {
   }
   svc.flush();
 
-  SubscribedView sub(svc);
-  sub.at(tau)->flat_clustering();  // initial full materialization (not timed)
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
+  tv->flat_clustering();  // initial full materialization (not timed)
 
   const int rounds = smoke ? 30 : 100, churn = smoke ? 64 : 256;
   std::vector<ticket_t> hot_live;
@@ -486,13 +487,12 @@ static void label_maintenance(bool smoke) {
     const auto& full = ftv->flat_clustering();  // global relabel
     full_ms += now_ms() - t0;
 
-    sub.refresh();
-    auto stv = sub.at(tau);
+    tv = ThresholdView::refreshed(tv, svc.snapshot());
     t0 = now_ms();
-    const auto& patched = stv->flat_clustering();  // copy + patch
+    const auto& patched = tv->flat_clustering();  // copy + patch
     patched_ms += now_ms() - t0;
 
-    sanity += full == patched && ftv->size_histogram() == stv->size_histogram();
+    sanity += full == patched && ftv->size_histogram() == tv->size_histogram();
   }
   auto after = svc.stats();
 
@@ -1183,7 +1183,7 @@ int main(int argc, char** argv) {
   shard_scaling(smoke);
   coalescing(smoke);
   view_amortization(smoke);
-  subscription_refresh(smoke);
+  view_refresh(smoke);
   label_maintenance(smoke);
   broker_cross_client(smoke);
   durability(smoke);

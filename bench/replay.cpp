@@ -1,4 +1,4 @@
-#include "engine/replay.hpp"
+#include "replay.hpp"
 
 #include <atomic>
 #include <cassert>

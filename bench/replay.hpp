@@ -1,9 +1,10 @@
 // Workload replay driver: recorded update traces plus a harness that
 // replays them against an SldService under concurrent reader threads.
 // Benchmarks drive this instead of hand-rolling loops (the examples
-// keep inline loops on purpose — they demonstrate the raw ticket API);
-// later PRs can load recorded production traces into the same Trace
-// shape.
+// keep inline loops on purpose — they demonstrate the raw ticket API).
+// It is benchmark code, not library code: CMake compiles it into
+// bench_engine and into test_engine, which checks a replayed trace
+// against the Kruskal reference.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,8 @@ namespace {
 /// parked-deadline sweep granularity).
 constexpr std::chrono::microseconds kDispatchInterval{200};
 
-/// Monotone max-store (publishes can arrive out of order; see
-/// subscription.cpp for the same idiom on the subscriber side).
+/// Monotone max-store: publishes can signal out of order (flushes race
+/// to on_publish after releasing the flush lock), so only raise the mark.
 void store_max(std::atomic<uint64_t>& a, uint64_t e) {
   uint64_t cur = a.load(std::memory_order_relaxed);
   while (cur < e && !a.compare_exchange_weak(cur, e,
@@ -37,22 +37,14 @@ uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
 
 }  // namespace
 
-QueryBroker::QueryBroker(const EpochManager& epochs, SubscriptionHub& hub,
+QueryBroker::QueryBroker(const EpochManager& epochs,
                          std::shared_ptr<EngineObs> obs, Options opt)
     : epochs_(epochs),
-      hub_(hub),
       obs_(std::move(obs)),
       stats_(EngineObs::stats_handle(obs_)),
       opt_(opt) {
   if (opt_.queue_depth == 0) opt_.queue_depth = 1;
   last_epoch_ = epochs_.cur_epoch();
-  // System subscription: publishes wake the dispatcher (AtLeastEpoch
-  // waiters unpark, the standing view cache refreshes) without counting
-  // as a user subscriber anywhere.
-  hub_token_ = hub_.add_system([this](const EpochManager::Snap& s) {
-    store_max(published_, s->epoch());
-    nudge();
-  });
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -61,6 +53,11 @@ QueryBroker::~QueryBroker() { shutdown(); }
 void QueryBroker::set_rehydrator(Rehydrator fn) {
   std::lock_guard<std::mutex> lk(rehydrate_mu_);
   rehydrate_ = std::move(fn);
+}
+
+void QueryBroker::on_publish(uint64_t epoch) {
+  store_max(published_, epoch);
+  nudge();
 }
 
 void QueryBroker::abort_waiters() {
@@ -299,10 +296,6 @@ void QueryBroker::shutdown() {
   }
   parked_.clear();
   views_.clear();
-  if (hub_token_) {
-    hub_.remove(hub_token_);
-    hub_token_ = 0;
-  }
 }
 
 void QueryBroker::dispatcher_loop() {
@@ -479,8 +472,9 @@ void QueryBroker::dispatch_cycle() {
 
     // Execute the cross-client groups in parallel: one ThresholdView
     // per (epoch, tau) — refreshed incrementally from the standing
-    // cache when possible — shared by every client in the group. A
-    // request is fulfilled by whichever group finishes it last.
+    // cache when possible, however many epochs old the cached view is —
+    // shared by every client in the group. A request is fulfilled by
+    // whichever group finishes it last.
     par::parallel_for(
         0, groups.size(),
         [&](size_t gi) {
@@ -496,13 +490,22 @@ void QueryBroker::dispatch_cycle() {
                             : std::make_shared<const ThresholdView>(g.snap,
                                                                     g.tau);
           }
-          par::parallel_for(
-              0, g.items.size(),
-              [&](size_t j) {
-                const auto& [r, qi] = g.items[j];
-                r->out.results[qi] = g.view->run(r->req.queries[qi]);
-              },
-              /*grain=*/8);
+          {
+            // Execute span: the group's per-query fan-out on the
+            // resolved view, so a slow cycle splits into intake wait,
+            // resolve and execute.
+            obs::ScopedSpan execute_span(obs_ ? &obs_->trace : nullptr,
+                                         "broker.execute", cycle_,
+                                         obs_ ? obs_->broker_execute
+                                              : nullptr);
+            par::parallel_for(
+                0, g.items.size(),
+                [&](size_t j) {
+                  const auto& [r, qi] = g.items[j];
+                  r->out.results[qi] = g.view->run(r->req.queries[qi]);
+                },
+                /*grain=*/8);
+          }
           Request* prev_r = nullptr;
           for (const auto& [r, qi] : g.items) {
             if (r == prev_r) continue;
@@ -514,38 +517,24 @@ void QueryBroker::dispatch_cycle() {
         /*grain=*/1);
   }
 
-  // Cache maintenance: absorb this cycle's current-epoch views, evict
-  // entries idle past kIdleEvictCycles (bounding per-publish refresh
-  // work to actively queried taus), and carry the survivors to the
-  // current epoch (the SubscribedView refresh-on-publish discipline —
-  // clean shards make this near-free, and it keeps a live entry from
-  // pinning superseded epochs).
+  // Cache maintenance: absorb this cycle's current-epoch views and
+  // evict entries idle past kIdleEvictCycles. Survivors stay at the
+  // epoch they were last used at; the next group at their tau refreshes
+  // them on demand.
   std::set<double> used;
   for (Group& g : groups) {
     if (!g.current) continue;
     views_[g.tau] = CachedView{g.view, cycle_};
     used.insert(g.tau);
   }
-  for (auto it = views_.begin(); it != views_.end();) {
-    CachedView& cv = it->second;
-    if (cycle_ - cv.last_used > kIdleEvictCycles) {
-      it = views_.erase(it);
-      continue;
-    }
-    if (cv.view->epoch() != cur->epoch())
-      cv.view = ThresholdView::refreshed(cv.view, cur);
-    ++it;
-  }
+  std::erase_if(views_, [&](const auto& kv) {
+    return cycle_ - kv.second.last_used > kIdleEvictCycles;
+  });
   // Hard cap on actively-used taus: on cycles that queried, drop
   // everything this cycle didn't touch once the cache overflows.
-  if (!used.empty() && views_.size() > kMaxCachedTaus) {
-    for (auto it = views_.begin(); it != views_.end();) {
-      if (used.count(it->first))
-        ++it;
-      else
-        it = views_.erase(it);
-    }
-  }
+  if (!used.empty() && views_.size() > kMaxCachedTaus)
+    std::erase_if(views_,
+                  [&](const auto& kv) { return !used.count(kv.first); });
 
   // Drain-abort pass (abort_waiters): anything still parked after this
   // cycle's unpark sweep is cut loose with kShutdown — a server drain

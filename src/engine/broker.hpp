@@ -12,14 +12,14 @@
 //   client B ── submit(...)          ──>       (MPSC stack)│
 //   client C ── submit_batch(...)    ──>                   │ drain
 //                                                          v
-//   SubscriptionHub publish signal ──> dispatcher thread:
+//   on_publish(epoch) signal      ──> dispatcher thread:
 //   micro-batch timer             ──>   expire past-deadline / cancelled
 //                                       park AtLeastEpoch waiters
 //                                       group the rest by (epoch, tau)
 //                                       — ACROSS clients —
 //                                       one ThresholdView per group
 //                                       (standing cache, refreshed
-//                                        incrementally per epoch)
+//                                        on demand to the group's epoch)
 //                                       execute groups in parallel
 //                                       fulfill the futures
 //
@@ -37,8 +37,12 @@
 // single (epoch, tau) group backed by one ThresholdView — one cross-UF
 // resolution no matter how many clients asked (the E-ENGINE-7 claim,
 // counter-verified). The view cache is carried across epochs through
-// ThresholdView::refreshed, so steady-state traffic at stable taus
-// pays the *incremental* refresh cost per epoch, like a SubscribedView.
+// ThresholdView::refreshed, on demand: a publish does no view work, and
+// the first group at a cached tau in a newer epoch refreshes the cached
+// view once, across however many epochs it skipped. Taus nobody asks
+// about cost nothing per publish; an idle entry is evicted after
+// kIdleEvictCycles dispatch cycles, which bounds how long it pins its
+// epoch.
 //
 // Threading: submit()/submit_batch() are thread-safe and lock-free on
 // the intake path (one CAS per request chain plus a wakeup). The
@@ -64,7 +68,6 @@
 #include "engine/epoch.hpp"
 #include "engine/query.hpp"
 #include "engine/stats.hpp"
-#include "engine/subscription.hpp"
 
 namespace dynsld::engine {
 
@@ -81,14 +84,13 @@ class QueryBroker {
     size_t queue_depth = 4096;
   };
 
-  /// Starts the dispatcher thread and registers with `hub` as a system
-  /// subscriber (publishes wake the dispatcher; AtLeastEpoch waiters
-  /// unpark). `epochs` and `hub` must outlive the broker. `obs` (the
-  /// owning service's observability bundle, nullable in unit contexts)
-  /// receives the request-lifecycle histograms — intake wait, park
-  /// time, per-group resolve, submit-to-fulfill — and dispatch spans.
-  QueryBroker(const EpochManager& epochs, SubscriptionHub& hub,
-              std::shared_ptr<EngineObs> obs, Options opt);
+  /// Starts the dispatcher thread. `epochs` must outlive the broker.
+  /// `obs` (the owning service's observability bundle, nullable in unit
+  /// contexts) receives the request-lifecycle histograms — intake wait,
+  /// park time, per-group resolve and execute, submit-to-fulfill — and
+  /// dispatch spans.
+  QueryBroker(const EpochManager& epochs, std::shared_ptr<EngineObs> obs,
+              Options opt);
   /// Implies shutdown(): all in-flight futures resolve.
   ~QueryBroker();
 
@@ -126,6 +128,12 @@ class QueryBroker {
   /// Install/replace the rehydration tier (the service wires this when
   /// persistence attaches; without one, ring misses are unavailable).
   void set_rehydrator(Rehydrator fn);
+
+  /// Publish signal: `epoch` is now current. Wakes the dispatcher so
+  /// AtLeastEpoch waiters unpark; no view work happens until a query
+  /// asks. Called by the service after every publish, from the
+  /// publishing thread; epochs may arrive out of order.
+  void on_publish(uint64_t epoch);
 
   /// Nudge the dispatcher to run a cycle now (deadline sweep, unpark
   /// check) without waiting for a submit, a publish, or the interval
@@ -205,12 +213,10 @@ class QueryBroker {
   void dispatch_cycle();
 
   const EpochManager& epochs_;
-  SubscriptionHub& hub_;
   std::shared_ptr<EngineObs> obs_;
   // Aliasing handle on obs_->stats, so counter bumps stay one `->`.
   std::shared_ptr<EngineStats> stats_;
   Options opt_;
-  SubscriptionHub::Token hub_token_ = 0;
 
   // Intake: MPSC Treiber stack (order restored at drain). seq_cst so
   // the submit-side stopped_ check totally orders against shutdown's
@@ -233,8 +239,8 @@ class QueryBroker {
   std::thread dispatcher_;
 
   /// One standing-cache entry: the resolved view plus the dispatch
-  /// cycle that last used it (idle entries are evicted, so per-publish
-  /// refresh work is bounded by the actively queried taus).
+  /// cycle that last used it (idle entries are evicted, so a tau nobody
+  /// queries stops pinning its epoch).
   struct CachedView {
     std::shared_ptr<const ThresholdView> view;
     uint64_t last_used = 0;
@@ -244,9 +250,9 @@ class QueryBroker {
   std::vector<Request*> parked_;  // AtLeastEpoch waiters
   uint64_t last_epoch_ = 0;       // epoch of the last cycle's snapshot
   uint64_t cycle_ = 0;            // dispatch-cycle counter (cache aging)
-  std::atomic<uint64_t> published_{0};  // max epoch the hub announced
+  std::atomic<uint64_t> published_{0};  // max epoch on_publish announced
   /// Standing Latest-view cache, one entry per tau, carried across
-  /// epochs via ThresholdView::refreshed.
+  /// epochs via ThresholdView::refreshed when a group asks.
   std::map<double, CachedView> views_;
 
   static constexpr size_t kMaxCachedTaus = 64;

@@ -569,41 +569,6 @@ QueryResult ThresholdView::run(const Query& q) const {
   return std::visit(Dispatch{*this}, q);
 }
 
-namespace detail {
-
-std::vector<QueryResult> run_batch(
-    std::span<const Query> queries, const std::shared_ptr<EngineStats>& stats,
-    const std::function<std::shared_ptr<const ThresholdView>(double)>&
-        view_at) {
-  std::vector<QueryResult> out(queries.size());
-  std::map<double, std::vector<uint32_t>> by_tau;
-  for (uint32_t i = 0; i < queries.size(); ++i)
-    by_tau[query_tau(queries[i])].push_back(i);
-  std::vector<const std::pair<const double, std::vector<uint32_t>>*> groups;
-  groups.reserve(by_tau.size());
-  for (const auto& g : by_tau) groups.push_back(&g);
-
-  if (stats) {
-    stats->batch_runs.fetch_add(1, std::memory_order_relaxed);
-    stats->batch_queries.fetch_add(queries.size(), std::memory_order_relaxed);
-  }
-
-  par::parallel_for(
-      0, groups.size(),
-      [&](size_t g) {
-        auto view = view_at(groups[g]->first);  // one resolution per tau
-        const std::vector<uint32_t>& idx = groups[g]->second;
-        par::parallel_for(
-            0, idx.size(),
-            [&](size_t j) { out[idx[j]] = view->run(queries[idx[j]]); },
-            /*grain=*/8);
-      },
-      /*grain=*/1);
-  return out;
-}
-
-}  // namespace detail
-
 ClusterView::ClusterView(EpochManager::Snap snap)
     : snap_(std::move(snap)), cache_(std::make_shared<Cache>()) {}
 
@@ -622,8 +587,31 @@ std::shared_ptr<const ThresholdView> ClusterView::at(double tau) const {
 }
 
 std::vector<QueryResult> ClusterView::run(std::span<const Query> queries) const {
-  return detail::run_batch(queries, snap_->stats(),
-                           [this](double tau) { return at(tau); });
+  std::vector<QueryResult> out(queries.size());
+  std::map<double, std::vector<uint32_t>> by_tau;
+  for (uint32_t i = 0; i < queries.size(); ++i)
+    by_tau[query_tau(queries[i])].push_back(i);
+  std::vector<const std::pair<const double, std::vector<uint32_t>>*> groups;
+  groups.reserve(by_tau.size());
+  for (const auto& g : by_tau) groups.push_back(&g);
+
+  if (const auto& stats = snap_->stats()) {
+    stats->batch_runs.fetch_add(1, std::memory_order_relaxed);
+    stats->batch_queries.fetch_add(queries.size(), std::memory_order_relaxed);
+  }
+
+  par::parallel_for(
+      0, groups.size(),
+      [&](size_t g) {
+        auto view = at(groups[g]->first);  // one resolution per tau
+        const std::vector<uint32_t>& idx = groups[g]->second;
+        par::parallel_for(
+            0, idx.size(),
+            [&](size_t j) { out[idx[j]] = view->run(queries[idx[j]]); },
+            /*grain=*/8);
+      },
+      /*grain=*/1);
+  return out;
 }
 
 }  // namespace dynsld::engine

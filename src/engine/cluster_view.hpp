@@ -30,13 +30,14 @@
 // thousands of queries at one tau share a single merge resolution
 // instead of re-deriving it per call (the PR 1 behavior).
 //
-// Incremental refresh (the subscription plane, subscription.hpp): the
-// resolution is a shareable immutable block, and ThresholdView::
-// refreshed(prev, snap) carries it across epochs proportionally to the
-// published EpochDelta. Per-shard snapshot reuse is pointer-identical,
-// so cleanliness needs no bookkeeping: a shard whose DendrogramSnapshot
-// pointer is unchanged gives identical top_of answers, and its cached
-// endpoint tops are reused verbatim. Three refresh grades:
+// Incremental refresh (on demand, when the broker serves a cached tau
+// at a newer epoch; broker.hpp): the resolution is a shareable
+// immutable block, and ThresholdView::refreshed(prev, snap) carries it
+// across epochs proportionally to the published EpochDelta. Per-shard
+// snapshot reuse is pointer-identical, so cleanliness needs no
+// bookkeeping: a shard whose DendrogramSnapshot pointer is unchanged
+// gives identical top_of answers, and its cached endpoint tops are
+// reused verbatim. Three refresh grades:
 //
 //   reused       sub-tau cross prefix unchanged, no resolved endpoint
 //                homed in a rebuilt shard -> share the resolution block
@@ -71,7 +72,6 @@
 // threshold once, fan the groups out on the fork-join scheduler.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -94,8 +94,8 @@ namespace dynsld::engine {
 class ThresholdView {
  public:
   /// Resolve `snap` at threshold tau (one cross-shard union-find
-  /// build). Prefer ClusterView::at(), which memoizes, or a
-  /// SubscribedView, which refreshes incrementally across epochs.
+  /// build). Prefer ClusterView::at(), which memoizes, or refreshed(),
+  /// which carries an older view across epochs incrementally.
   ThresholdView(EpochManager::Snap snap, double tau);
 
   /// Refresh `prev` onto `snap` (same threshold, newer epoch): shares
@@ -259,24 +259,11 @@ class ThresholdView {
   mutable std::shared_ptr<const LabelSeed> seed_;  // consumed by label_set()
 };
 
-namespace detail {
-
-/// Shared batch executor: group `queries` by tau, resolve each distinct
-/// threshold once through `view_at`, fan the groups out on the
-/// fork-join scheduler. Both ClusterView::run and SubscribedView::run
-/// route through this. `view_at` must be safe to call from scheduler
-/// workers.
-std::vector<QueryResult> run_batch(
-    std::span<const Query> queries, const std::shared_ptr<EngineStats>& stats,
-    const std::function<std::shared_ptr<const ThresholdView>(double)>& view_at);
-
-}  // namespace detail
-
 /// The query plane's entry point: pins one epoch and memoizes one
 /// ThresholdView per threshold. A cheap value type (two shared_ptrs) —
 /// copy it freely; copies share the epoch pin and the view cache. All
 /// methods are thread-safe; the epoch never changes under a
-/// ClusterView (subscribe via SubscribedView to follow the stream).
+/// ClusterView (submit Latest requests to follow the stream).
 class ClusterView {
  public:
   /// Pin `snap`'s epoch. Prefer SldService::view(), which acquires the

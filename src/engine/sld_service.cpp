@@ -23,15 +23,12 @@ SldService::SldService(const ServiceConfig& cfg)
   obs_->registry.add_gauge("broker.depth", [this] {
     return static_cast<uint64_t>(broker_ ? broker_->depth() : 0);
   });
-  obs_->registry.add_gauge("engine.subscribers", [this] {
-    return static_cast<uint64_t>(subs_.size());
-  });
   // AsOf retention: superseded epochs stay queryable from memory.
   epochs_.set_retention(cfg_.retain_epochs);
   // Epoch 0: the empty snapshot, so readers never see a null view.
   epochs_.publish(router_.build_snapshot(0, nullptr, cfg_.capture_edges));
   broker_ = std::make_unique<QueryBroker>(
-      epochs_, subs_, obs_, QueryBroker::Options{cfg_.broker_queue_depth});
+      epochs_, obs_, QueryBroker::Options{cfg_.broker_queue_depth});
   if (cfg_.persist.enabled()) {
     // Fresh durable service: refuse a directory that already holds
     // state (recover() is the resume path; shadowing it would fork
@@ -45,8 +42,8 @@ SldService::SldService(const ServiceConfig& cfg)
 
 SldService::~SldService() {
   // Broker first: resolve in-flight futures while the epochs they may
-  // pin are still valid, and unhook its system subscription before the
-  // shutdown flush publishes.
+  // pin are still valid. The shutdown flush below still signals it,
+  // which only nudges a stopped dispatcher.
   broker_->shutdown();
   stop_writer();
   // The bundle outlives us through snapshots; the gauges do not.
@@ -184,16 +181,11 @@ uint64_t SldService::commit(std::unique_lock<std::mutex>& lk, uint64_t e,
     tap_.on_checkpoint(e);
   if (total) total->stop();
   lk.unlock();
-  // Notify subscribers outside the flush lock so callbacks may read the
-  // service (snapshot(), view(), even enqueue updates — not flush()).
-  // Concurrent flushes can therefore notify out of order; subscribers
-  // track the max pending epoch.
+  // Signal the broker outside the flush lock. Concurrent flushes can
+  // therefore signal out of order; the broker keeps the max epoch.
   obs::ScopedSpan notify_span(&obs_->trace, "flush.notify", e,
                               obs_->flush_notify);
-  size_t fired = subs_.notify(published);
-  notify_span.stop();
-  if (fired)
-    stats_->subs_notified.fetch_add(fired, std::memory_order_relaxed);
+  broker_->on_publish(e);
   return e;
 }
 

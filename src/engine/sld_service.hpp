@@ -11,9 +11,8 @@
 //   (per-shard batches,        |          dispatcher: group clients by
 //    Thm 1.1/1.2/1.5)          |          (epoch, tau), one view per
 //                              |          group, fulfill futures)
-//                              +--------> EpochManager / Subscription-
-//                                         Hub (pinned views: ClusterView
-//                                         / SubscribedView escape hatch)
+//                              +--------> EpochManager (pinned views:
+//                                         ClusterView escape hatch)
 //
 // Mutations are cheap enqueues returning a ticket; a flush (caller-
 // driven via flush(), or the background writer thread) drains the
@@ -30,14 +29,13 @@
 // once per group fleet-wide, not per caller (broker.hpp). The sync
 // surfaces — run() and the single-shot conveniences — are thin
 // submit-and-wait wrappers over one-element requests. Power users who
-// want explicit epoch pinning keep ClusterView / SubscribedView.
+// want explicit epoch pinning keep ClusterView.
 //
-// Long-lived readers subscribe instead of polling: every publish
-// notifies the SubscriptionHub, and a SubscribedView refreshes its
-// resolved ThresholdViews incrementally against the epoch's delta
-// metadata (subscription.hpp) rather than rebuilding per epoch. The
-// broker's dispatcher rides the same publish signal as a system
-// subscriber.
+// Views refresh only when a query asks: every publish signals the
+// broker (QueryBroker::on_publish), which wakes its dispatcher but does
+// no view work. The first group at a cached tau in a newer epoch
+// refreshes that view incrementally against what changed
+// (ThresholdView::refreshed) rather than rebuilding it.
 #pragma once
 
 #include <chrono>
@@ -58,7 +56,6 @@
 #include "engine/query.hpp"
 #include "engine/shard_router.hpp"
 #include "engine/stats.hpp"
-#include "engine/subscription.hpp"
 #include "obs/export.hpp"
 #include "persist/options.hpp"
 
@@ -99,9 +96,9 @@ struct ServiceConfig {
 };
 
 /// The serving engine's facade: thread-safe update enqueue + flush on
-/// the writer side, epoch-pinned views/subscriptions on the reader
-/// side. Readers never block writers and vice versa; any state a
-/// reader obtains (snapshot(), view(), SubscribedView) stays valid and
+/// the writer side, brokered requests and epoch-pinned views on the
+/// reader side. Readers never block writers and vice versa; any state a
+/// reader obtains (snapshot(), view(), a ResultSet) stays valid and
 /// self-consistent no matter how many flushes happen meanwhile.
 class SldService {
  public:
@@ -109,8 +106,7 @@ class SldService {
   /// broker dispatcher running.
   explicit SldService(const ServiceConfig& cfg);
   /// Shuts the broker down (in-flight futures resolve with
-  /// QueryError{kShutdown}) and stops the background writer. Destroy
-  /// all SubscribedViews first.
+  /// QueryError{kShutdown}) and stops the background writer.
   ~SldService();
 
   SldService(const SldService&) = delete;
@@ -188,16 +184,6 @@ class SldService {
   /// that can tolerate a future should prefer submit(): same
   /// amortization, no blocking. Throws QueryError like any submit.
   std::vector<QueryResult> run(std::span<const Query> queries) const;
-
-  // ---- subscriptions (push half of the read plane) ----
-
-  /// The publish fan-out point. Long-lived readers normally register by
-  /// constructing a SubscribedView(svc) rather than calling this
-  /// directly; every flush that publishes a new epoch notifies the
-  /// registered subscribers (on the flushing thread, after the flush
-  /// lock is released — callbacks must not call flush()).
-  SubscriptionHub& subscriptions() { return subs_; }
-  const SubscriptionHub& subscriptions() const { return subs_; }
 
   /// Convenience single-shot queries — submit-and-wait wrappers over
   /// one-element requests, so even stray single calls join the
@@ -297,7 +283,7 @@ class SldService {
   /// The apply -> build -> publish -> notify core of flush() and
   /// replay(): publishes `batch` as epoch `e` (plus the checkpoint
   /// cadence), stops `total`, releases `lk` (holding flush_mu_), then
-  /// notifies subscribers. `seed` carries the stages the caller timed.
+  /// signals the broker. `seed` carries the stages the caller timed.
   uint64_t commit(std::unique_lock<std::mutex>& lk, uint64_t e,
                   const MutationQueue::Drained& batch, obs::EpochTrace seed,
                   obs::ScopedSpan* total = nullptr);
@@ -311,8 +297,7 @@ class SldService {
   MutationQueue queue_;
   ShardRouter router_;  // guarded by flush_mu_
   EpochManager epochs_;
-  SubscriptionHub subs_;
-  std::unique_ptr<QueryBroker> broker_;  // after subs_: dies first
+  std::unique_ptr<QueryBroker> broker_;
   // Durability plane (null when not persisting); safe to destroy
   // before broker_ — the destructor joins the dispatcher (the only
   // rehydration caller) before members die.

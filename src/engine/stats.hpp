@@ -67,9 +67,7 @@ namespace dynsld::engine {
   X(cross_uf_builds)      /* full cross-shard union-find builds */        \
   X(batch_runs)           /* ClusterView::run calls */                    \
   X(batch_queries)        /* queries executed via run() */                \
-  /* -- subscription plane -- */                                          \
-  X(subs_notified)        /* publish callbacks fired */                   \
-  X(sub_refreshes)        /* refresh() calls that advanced */             \
+  /* -- view refresh (ThresholdView::refreshed) -- */                     \
   X(refresh_views_reused) /* resolution shared wholesale */               \
   X(refresh_views_incremental) /* dirty shards re-topped */               \
   X(refresh_views_full)   /* cross prefix changed: rebuilt */             \
@@ -313,10 +311,9 @@ struct EngineObs {
   obs::LatencyHistogram* broker_intake_wait;  // submit -> dispatch pickup
   obs::LatencyHistogram* broker_park;         // parked (AtLeastEpoch) time
   obs::LatencyHistogram* broker_resolve;      // per-group view resolution
+  obs::LatencyHistogram* broker_execute;      // per-group query fan-out
   obs::LatencyHistogram* broker_fulfill;      // submit -> future fulfilled
   obs::LatencyHistogram* broker_cycle;        // whole dispatch cycle
-  // -- subscription plane --
-  obs::LatencyHistogram* sub_refresh;         // SubscribedView::refresh()
   // -- persistence (WAL append/fsync, checkpoint write, AsOf
   //    rehydration, whole-directory recovery) --
   obs::LatencyHistogram* persist_append;
@@ -345,9 +342,9 @@ struct EngineObs {
     broker_intake_wait = registry.add_histogram("broker.intake_wait");
     broker_park = registry.add_histogram("broker.park");
     broker_resolve = registry.add_histogram("broker.resolve");
+    broker_execute = registry.add_histogram("broker.execute");
     broker_fulfill = registry.add_histogram("broker.fulfill");
     broker_cycle = registry.add_histogram("broker.cycle");
-    sub_refresh = registry.add_histogram("sub.refresh");
     persist_append = registry.add_histogram("persist.append");
     persist_fsync = registry.add_histogram("persist.fsync");
     persist_checkpoint = registry.add_histogram("persist.checkpoint");
@@ -383,13 +380,12 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
                (unsigned long long)r.cross_uf_builds,
                (unsigned long long)r.batch_runs,
                (unsigned long long)r.batch_queries);
-  if (r.subs_notified || r.sub_refreshes)
+  if (r.refresh_views_reused || r.refresh_views_incremental ||
+      r.refresh_views_full)
     std::fprintf(out,
-                 "subscriptions: %llu notifies  %llu refreshes  views %llu "
-                 "reused / %llu incremental / %llu full  shards %llu reused / "
-                 "%llu rebuilt  cross-uf %llu incremental\n",
-                 (unsigned long long)r.subs_notified,
-                 (unsigned long long)r.sub_refreshes,
+                 "view refreshes: %llu reused / %llu incremental / %llu full  "
+                 "shards %llu reused / %llu rebuilt  cross-uf %llu "
+                 "incremental\n",
                  (unsigned long long)r.refresh_views_reused,
                  (unsigned long long)r.refresh_views_incremental,
                  (unsigned long long)r.refresh_views_full,

@@ -41,11 +41,11 @@ struct Job {
 /// computation sequentially instead of forking (par_do handles this, so
 /// callers — e.g. the engine's query plane fanning out a batch while the
 /// writer flushes — never need to coordinate). This is what lets the
-/// engine's publish notifications compose with concurrent reader
-/// batches: a subscription refresh triggered on the flushing thread and
-/// a ClusterView::run fan-out on a reader thread can both call par_do
-/// at once; whichever loses the gate degrades to sequential execution
-/// of the same computation, never to blocking or deadlock.
+/// engine's flushes compose with concurrent reader batches: a shard
+/// rebuild on the flushing thread, the broker's group fan-out on its
+/// dispatcher and a ClusterView::run fan-out on a reader thread can all
+/// call par_do at once; whichever loses the gate degrades to sequential
+/// execution of the same computation, never to blocking or deadlock.
 class Scheduler {
  public:
   /// Global instance; created on first use with num_workers() threads

@@ -289,6 +289,78 @@ TEST(QueryBroker, CrossClientGroupingSharesOneResolution) {
             1u);
 }
 
+/// Wait until the dispatch cycles that could see the current epoch have
+/// finished. An empty AsOf request completes inside the cycle that
+/// picks it up, before that cycle's cache maintenance; a second one is
+/// picked up only by a later cycle, so once it completes, the first
+/// one's cycle has run to its end.
+void settle_dispatcher(SldService& svc) {
+  for (int i = 0; i < 2; ++i) {
+    QueryRequest req;
+    req.consistency = AsOf{svc.epoch()};
+    svc.submit(std::move(req)).get();
+  }
+}
+
+/// Publishing does no view work: a cached tau nobody asks about across
+/// five epochs costs nothing, and the next query at it pays exactly one
+/// refresh, spanning all five epochs, and answers bit for bit like a
+/// fresh view.
+TEST(QueryBroker, PublishDoesNoViewWork) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+
+  const double tau = 0.6;
+  auto ask = [&] {
+    QueryRequest req;
+    req.queries = {FlatClusteringQuery{tau}, SizeHistogramQuery{tau},
+                   NumClustersQuery{tau}};
+    return svc.submit(std::move(req)).get();
+  };
+  ask();  // resolves the view at tau and caches it
+
+  auto before = svc.stats();
+  for (int e = 0; e < 5; ++e) {
+    for (int i = 0; i < 4; ++i) {
+      auto [u, v] = test::random_block_pair(rng, 0, 20);
+      svc.insert(u, v, rng.next_double());
+    }
+    svc.flush();
+  }
+  // Every cycle that saw the publishes has finished: an eager refresh
+  // would have moved the counters by now. (At most about ten cycles
+  // have passed, well inside the broker's idle-eviction horizon, so the
+  // view is still cached.)
+  settle_dispatcher(svc);
+  auto idle = svc.stats();
+  EXPECT_EQ(idle.epochs_published - before.epochs_published, 5u);
+  EXPECT_EQ(idle.views_built, before.views_built);
+  EXPECT_EQ(idle.refresh_views_full, before.refresh_views_full);
+  EXPECT_EQ(idle.refresh_views_reused, before.refresh_views_reused);
+  EXPECT_EQ(idle.refresh_views_incremental, before.refresh_views_incremental);
+  EXPECT_EQ(idle.cross_uf_builds, before.cross_uf_builds);
+  EXPECT_EQ(idle.cross_uf_incremental, before.cross_uf_incremental);
+
+  ResultSet rs = ask();
+  auto after = svc.stats();
+  auto refreshes = [](const EngineStats::Report& r) {
+    return r.refresh_views_full + r.refresh_views_reused +
+           r.refresh_views_incremental;
+  };
+  EXPECT_EQ(refreshes(after) - refreshes(idle), 1u);
+  auto snap = svc.snapshot();
+  ASSERT_EQ(rs.epoch, snap->epoch());
+  ThresholdView fresh(snap, tau);
+  EXPECT_EQ(std::get<std::vector<vertex_id>>(rs.results[0]),
+            fresh.flat_clustering());
+  EXPECT_EQ(std::get<SizeHistogram>(rs.results[1]), fresh.size_histogram());
+  EXPECT_EQ(std::get<uint64_t>(rs.results[2]), fresh.num_clusters());
+}
+
 /// Pinned consistency answers against the exact pinned snapshot even
 /// after newer epochs publish.
 TEST(QueryBroker, PinnedServesSupersededEpoch) {

@@ -16,13 +16,12 @@
 #include "engine/cluster_view.hpp"
 #include "engine/mutation_queue.hpp"
 #include "engine/query.hpp"
-#include "engine/replay.hpp"
 #include "engine/sld_service.hpp"
 #include "engine/snapshot.hpp"
-#include "engine/subscription.hpp"
 #include "msf/dynamic_msf.hpp"
 #include "parallel/random.hpp"
 #include "persist/checkpoint.hpp"
+#include "replay.hpp"
 #include "test_util.hpp"
 
 namespace dynsld::engine {
@@ -226,20 +225,19 @@ TEST(MutationQueue, ReinsertAfterEraseInOneBatch) {
 }
 
 /// Service-level annihilation: a churn-only batch publishes no epoch,
-/// so subscribers are not notified and nothing refreshes.
+/// so the broker is not signalled and nothing is applied.
 TEST(SldService, AnnihilatedBatchPublishesNoEpoch) {
   ServiceConfig cfg;
   cfg.num_vertices = 16;
   SldService svc(cfg);
-  int notified = 0;
-  SubscribedView sub(svc, [&](uint64_t) { ++notified; });
   uint64_t before = svc.epoch();
+  uint64_t published = svc.stats().epochs_published;
   ticket_t t = svc.insert(2, 3, 0.5);
   svc.erase(t);
   EXPECT_EQ(svc.flush(), before);  // empty batch: same epoch
-  EXPECT_EQ(notified, 0);
-  EXPECT_FALSE(sub.stale());
-  EXPECT_EQ(svc.stats().subs_notified, 0u);
+  EXPECT_EQ(svc.stats().epochs_published, published);
+  EXPECT_EQ(svc.stats().flushes, 0u);
+  EXPECT_EQ(svc.obs().flush_notify->snapshot().count, 0u);
 }
 
 TEST(MutationQueue, PreservesInsertOrder) {
@@ -750,9 +748,9 @@ void seed_eight_shards(SldService& svc, par::Rng& rng) {
 }  // namespace
 
 /// The acceptance scenario: with 1 of 8 shards dirty per flush, a
-/// subscription refresh reuses the 7 clean shards (counter-verified)
-/// and answers bit-for-bit like a freshly built view.
-TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
+/// view refresh reuses the 7 clean shards (counter-verified) and
+/// answers bit-for-bit like a freshly built view.
+TEST(ThresholdViewRefresh, HotShardRefreshReusesCleanShards) {
   const vertex_id n = 64;
   ServiceConfig cfg;
   cfg.num_vertices = n;
@@ -763,8 +761,8 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
   seed_eight_shards(svc, rng);
 
   const double tau = 0.6;
-  SubscribedView sub(svc);
-  sub.at(tau);  // initial full resolution
+  // Initial full resolution.
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
 
   for (int round = 0; round < 6; ++round) {
     // Churn confined to shard 0: intra edges over vertices [0, 8).
@@ -773,18 +771,19 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
       svc.insert(u, v, rng.next_double());
     }
     svc.flush();
-    EXPECT_TRUE(sub.stale());
+    auto snap = svc.snapshot();
+    EXPECT_LT(tv->epoch(), snap->epoch());
     // The published delta records the flush's footprint: shard 0
     // rebuilt, the rest untouched, no cross churn.
     {
-      const EpochDelta& d = svc.snapshot()->delta();
+      const EpochDelta& d = snap->delta();
       EXPECT_EQ(d.num_rebuilt(), 1);
       EXPECT_EQ(d.shard_rebuilt[0], 1);
       EXPECT_FALSE(d.cross_changed());
       EXPECT_EQ(d.cross_inserted + d.cross_erased, 0u);
     }
     auto before = svc.stats();
-    ASSERT_TRUE(sub.refresh());
+    tv = ThresholdView::refreshed(tv, snap);
     auto after = svc.stats();
     EXPECT_EQ(after.refresh_shards_reused - before.refresh_shards_reused, 7u);
     EXPECT_EQ(after.refresh_shards_rebuilt - before.refresh_shards_rebuilt, 1u);
@@ -795,9 +794,7 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
 
     // Bit-for-bit against a freshly resolved view, and against the
     // Kruskal oracle.
-    auto snap = svc.snapshot();
-    ASSERT_EQ(sub.epoch(), snap->epoch());
-    auto tv = sub.at(tau);
+    ASSERT_EQ(tv->epoch(), snap->epoch());
     auto fresh = ClusterView(snap).at(tau);
     EXPECT_EQ(tv->flat_clustering(), fresh->flat_clustering());
     EXPECT_EQ(tv->size_histogram(), fresh->size_histogram());
@@ -814,7 +811,7 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
 /// Cross-edge churn strictly above the threshold keeps the sub-tau
 /// prefix intact: the single-step delta proves it and the refresh stays
 /// incremental; churn at or below tau forces the full re-resolve.
-TEST(SubscribedView, CrossDeltaGatesFullResolve) {
+TEST(ThresholdViewRefresh, CrossDeltaGatesFullResolve) {
   const vertex_id n = 64;
   ServiceConfig cfg;
   cfg.num_vertices = n;
@@ -825,8 +822,7 @@ TEST(SubscribedView, CrossDeltaGatesFullResolve) {
   seed_eight_shards(svc, rng);
 
   const double tau = 0.6;
-  SubscribedView sub(svc);
-  sub.at(tau);
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
 
   // A cross edge above tau: the delta's cross_min_w exceeds tau, so the
   // resolution survives (no full rebuild).
@@ -834,7 +830,7 @@ TEST(SubscribedView, CrossDeltaGatesFullResolve) {
   svc.flush();
   EXPECT_GT(svc.snapshot()->delta().cross_min_w, tau);
   auto before = svc.stats();
-  ASSERT_TRUE(sub.refresh());
+  tv = ThresholdView::refreshed(tv, svc.snapshot());
   auto after = svc.stats();
   EXPECT_EQ(after.refresh_views_full, before.refresh_views_full);
   EXPECT_EQ(after.refresh_views_reused +
@@ -846,58 +842,52 @@ TEST(SubscribedView, CrossDeltaGatesFullResolve) {
   svc.insert(3, 40, 0.2);
   svc.flush();
   before = svc.stats();
-  ASSERT_TRUE(sub.refresh());
+  tv = ThresholdView::refreshed(tv, svc.snapshot());
   after = svc.stats();
   EXPECT_EQ(after.refresh_views_full - before.refresh_views_full, 1u);
 
   // Either way the refreshed view matches a fresh one exactly.
   auto snap = svc.snapshot();
+  ASSERT_EQ(tv->epoch(), snap->epoch());
   auto fresh = ClusterView(snap).at(tau);
-  EXPECT_EQ(sub.at(tau)->flat_clustering(), fresh->flat_clustering());
+  EXPECT_EQ(tv->flat_clustering(), fresh->flat_clustering());
   auto ref = reference_labels(n, snap->captured_edges(), tau);
-  expect_same_partition(ref, sub.at(tau)->flat_clustering());
+  expect_same_partition(ref, tv->flat_clustering());
 }
 
-/// Register/refresh/unregister lifecycle: publishes bump the pending
-/// epoch and fire the hook; refresh catches up (also across several
-/// skipped epochs); destruction unregisters.
-TEST(SubscribedView, LifecycleAndNotifications) {
+/// A reader following the stream submits Latest requests: each answer
+/// comes from the epoch current at dispatch, also when several epochs
+/// published since the reader last asked.
+TEST(SldService, LatestReadsFollowPublishedEpochs) {
   ServiceConfig cfg;
   cfg.num_vertices = 40;
   cfg.num_shards = 2;
   SldService svc(cfg);
-  EXPECT_EQ(svc.subscriptions().size(), 0u);
-  {
-    std::vector<uint64_t> hook_epochs;
-    SubscribedView sub(svc, [&](uint64_t e) { hook_epochs.push_back(e); });
-    EXPECT_EQ(svc.subscriptions().size(), 1u);
-    EXPECT_EQ(sub.epoch(), 0u);
-    EXPECT_FALSE(sub.stale());
-    EXPECT_FALSE(sub.refresh());  // nothing published yet
+  std::vector<Query> batch = {SameClusterQuery{1, 2, 0.5},
+                              ClusterSizeQuery{21, 0.5}};
+  auto ask = [&] {
+    QueryRequest req;
+    req.queries = batch;
+    return svc.submit(std::move(req)).get();
+  };
 
-    svc.insert(1, 2, 0.3);
-    svc.flush();
-    svc.insert(21, 22, 0.4);
-    svc.flush();  // two epochs behind now
-    EXPECT_TRUE(sub.stale());
-    EXPECT_EQ(sub.pending_epoch(), 2u);
-    ASSERT_EQ(hook_epochs.size(), 2u);
-    EXPECT_TRUE(sub.refresh());
-    EXPECT_EQ(sub.epoch(), 2u);
-    EXPECT_FALSE(sub.stale());
-    EXPECT_FALSE(sub.refresh());  // idempotent
+  ResultSet rs = ask();
+  EXPECT_EQ(rs.epoch, 0u);
+  EXPECT_FALSE(std::get<bool>(rs.results[0]));
+  EXPECT_EQ(std::get<uint64_t>(rs.results[1]), 1u);
 
-    // Batch API serves the subscription's pinned epoch.
-    std::vector<Query> batch = {SameClusterQuery{1, 2, 0.5},
-                                ClusterSizeQuery{21, 0.5}};
-    auto results = sub.run(batch);
-    EXPECT_TRUE(std::get<bool>(results[0]));
-    EXPECT_EQ(std::get<uint64_t>(results[1]), 2u);
-  }
-  EXPECT_EQ(svc.subscriptions().size(), 0u);  // unregistered
-  svc.insert(5, 6, 0.1);
-  svc.flush();  // notifies nobody, crashes nothing
-  EXPECT_EQ(svc.stats().subs_notified, 2u);
+  svc.insert(1, 2, 0.3);
+  svc.flush();
+  svc.insert(21, 22, 0.4);
+  svc.flush();  // two epochs behind the reader's last answer now
+  rs = ask();
+  EXPECT_EQ(rs.epoch, 2u);
+  EXPECT_TRUE(std::get<bool>(rs.results[0]));
+  EXPECT_EQ(std::get<uint64_t>(rs.results[1]), 2u);
+
+  rs = ask();  // nothing published since: same epoch, same answers
+  EXPECT_EQ(rs.epoch, 2u);
+  EXPECT_EQ(std::get<uint64_t>(rs.results[1]), 2u);
 }
 
 /// Replay driver smoke test: the sliding-window trace ends with the

@@ -5,23 +5,26 @@
 // Each schedule is a seeded interleaving of insert / erase-by-ticket /
 // erase-by-endpoints / flush over a parameterized scenario (uneven
 // shards, erase-heavy churn, single-shard hotspots, all-cross-edges).
-// After every published epoch the harness checks three ways at several
+// After every published epoch the harness checks, at several
 // thresholds:
 //
-//   1. the subscription-refreshed ThresholdView answers bit-for-bit
+//   1. a chain of ThresholdView::refreshed views answers bit-for-bit
 //      like a freshly resolved view of the same snapshot (labels and
 //      histograms as exact vector equality — labels are canonical,
 //      i.e. a pure function of the snapshot and the resolution, so a
 //      patched array and a from-scratch array must agree exactly and
 //      any divergence is a refresh/patch bug, not an ordering
-//      artifact); the label queries also run through the typed batch
-//      API, so the patched path behind run() is covered on every
-//      schedule;
+//      artifact); the label queries also run through the typed
+//      ThresholdView::run. The chain advances only on a seeded random
+//      half of the epochs, so one refresh often spans several epochs —
+//      the shape the broker's on-demand refresh produces;
 //   2. both match the Kruskal reference partition of the epoch's
 //      captured edge set (partition equality, sampled pair/size/report
 //      queries);
-//   3. refresh bookkeeping: the subscription serves exactly the
-//      published epoch.
+//   3. refresh bookkeeping: an advanced chain serves exactly the
+//      published epoch;
+//   4. the same queries submitted through the broker answer like the
+//      fresh view.
 //
 // Seeds are printed on failure (SCOPED_TRACE) for replay; set
 // DYNSLD_FUZZ_SEEDS to scale the run (default 1000 schedules across
@@ -36,7 +39,6 @@
 #include <filesystem>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -45,7 +47,6 @@
 #include "engine/cluster_view.hpp"
 #include "engine/query.hpp"
 #include "engine/sld_service.hpp"
-#include "engine/subscription.hpp"
 #include "parallel/random.hpp"
 #include "persist/persist.hpp"
 #include "test_util.hpp"
@@ -126,8 +127,13 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
   // Three thresholds: two fixed in the interesting band, one seeded.
   const double taus[3] = {0.25, 0.7, 0.05 + 0.9 * rng.next_double()};
 
-  SubscribedView sub(svc);
-  for (double tau : taus) sub.at(tau);  // initial full resolutions
+  // The refreshed chain, one view per tau. It advances on a seeded
+  // coin per epoch, drawn from its own stream so the workload schedule
+  // is the same whatever the coin says.
+  par::Rng coin(par::hash64(seed ^ 0x5eedc0172ULL));
+  std::vector<std::shared_ptr<const ThresholdView>> chain;
+  for (double tau : taus)  // initial full resolutions
+    chain.push_back(std::make_shared<const ThresholdView>(svc.snapshot(), tau));
 
   auto pick_insert = [&]() -> std::pair<vertex_id, vertex_id> {
     if (rng.next_double() < sc.cross_frac && sc.shards > 1) {
@@ -170,10 +176,9 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
 
     uint64_t epoch = svc.flush();
     ASSERT_EQ(baseline.flush(), epoch);
-    sub.refresh();
     auto snap = svc.snapshot();
     ASSERT_EQ(snap->epoch(), epoch);
-    ASSERT_EQ(sub.epoch(), epoch);
+    const bool advance = coin.next_double() < 0.5;
 
     // (0) Patched per-shard snapshots are byte-identical to the twin's
     // from-scratch builds.
@@ -190,66 +195,67 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
     }
 
     ClusterView fresh_view(snap);
-    for (double tau : taus) {
+    for (size_t ti = 0; ti < std::size(taus); ++ti) {
+      const double tau = taus[ti];
       SCOPED_TRACE("epoch=" + std::to_string(epoch) +
-                   " tau=" + std::to_string(tau));
-      auto subv = sub.at(tau);
+                   " tau=" + std::to_string(tau) +
+                   " chain_epoch=" + std::to_string(chain[ti]->epoch()));
       auto fresh = fresh_view.at(tau);
-      ASSERT_EQ(subv->epoch(), epoch);
-
-      // (1) Refreshed view == fresh view, bit for bit — including the
-      // patched flat labels and the reassembled histogram, also via
-      // the typed batch API.
-      ASSERT_EQ(subv->flat_clustering(), fresh->flat_clustering());
-      ASSERT_EQ(subv->size_histogram(), fresh->size_histogram());
-      {
-        std::vector<Query> lq{FlatClusteringQuery{tau},
-                              SizeHistogramQuery{tau}};
-        auto lres = sub.run(lq);
-        ASSERT_EQ(std::get<std::vector<vertex_id>>(lres[0]),
+      // On epochs the chain skips, the fresh view stands in for it, so
+      // the oracle checks below run on every epoch either way.
+      auto tv = fresh;
+      if (advance) {
+        chain[ti] = ThresholdView::refreshed(chain[ti], snap);
+        tv = chain[ti];
+        ASSERT_EQ(tv->epoch(), epoch);
+        // (1) Refreshed view == fresh view, bit for bit — including
+        // the patched flat labels and the reassembled histogram, also
+        // via the typed ThresholdView::run.
+        ASSERT_EQ(tv->flat_clustering(), fresh->flat_clustering());
+        ASSERT_EQ(tv->size_histogram(), fresh->size_histogram());
+        ASSERT_EQ(std::get<std::vector<vertex_id>>(
+                      tv->run(FlatClusteringQuery{tau})),
                   fresh->flat_clustering());
-        ASSERT_EQ(std::get<SizeHistogram>(lres[1]), fresh->size_histogram());
+        ASSERT_EQ(std::get<SizeHistogram>(tv->run(SizeHistogramQuery{tau})),
+                  fresh->size_histogram());
       }
       // (2) Both == the Kruskal oracle.
       auto ref = reference_labels(sc.n, snap->captured_edges(), tau);
-      expect_same_partition(ref, subv->flat_clustering());
+      expect_same_partition(ref, tv->flat_clustering());
       // Canonical-label invariants the patch machinery relies on: a
       // label names a member of its own cluster and is idempotent.
-      const std::vector<vertex_id>& lab = subv->flat_clustering();
+      const std::vector<vertex_id>& lab = tv->flat_clustering();
       for (vertex_id v = 0; v < sc.n; ++v) {
         ASSERT_EQ(ref[lab[v]], ref[v]) << "label not a cluster member, v=" << v;
         ASSERT_EQ(lab[lab[v]], lab[v]) << "label not canonical, v=" << v;
       }
-      ASSERT_EQ(subv->size_histogram(), ref_histogram(ref));
+      ASSERT_EQ(tv->size_histogram(), ref_histogram(ref));
       // NumClusters reassembles from per-shard prefix counts + the
       // cross merge; it must agree with the histogram and the oracle.
-      ASSERT_EQ(subv->num_clusters(), ref_histogram(ref).num_clusters());
-      ASSERT_EQ(fresh->num_clusters(), subv->num_clusters());
+      ASSERT_EQ(tv->num_clusters(), ref_histogram(ref).num_clusters());
+      ASSERT_EQ(fresh->num_clusters(), tv->num_clusters());
       for (int q = 0; q < 12; ++q) {
         auto [s, t] = test::random_distinct_pair(rng, sc.n);
-        ASSERT_EQ(subv->same_cluster(s, t), ref[s] == ref[t])
+        ASSERT_EQ(tv->same_cluster(s, t), ref[s] == ref[t])
             << "s=" << s << " t=" << t;
         ASSERT_EQ(fresh->same_cluster(s, t), ref[s] == ref[t]);
       }
       vertex_id u = static_cast<vertex_id>(rng.next_bounded(sc.n));
-      ASSERT_EQ(subv->cluster_size(u), ref_cluster_size(ref, u));
+      ASSERT_EQ(tv->cluster_size(u), ref_cluster_size(ref, u));
       // Reports may order members differently across refresh histories;
       // compare as sets.
-      auto rep_sub = subv->cluster_report(u);
+      auto rep_tv = tv->cluster_report(u);
       auto rep_fresh = fresh->cluster_report(u);
-      std::sort(rep_sub.begin(), rep_sub.end());
+      std::sort(rep_tv.begin(), rep_tv.end());
       std::sort(rep_fresh.begin(), rep_fresh.end());
-      ASSERT_EQ(rep_sub, rep_fresh);
-      ASSERT_EQ(rep_sub.size(), ref_cluster_size(ref, u));
+      ASSERT_EQ(rep_tv, rep_fresh);
+      ASSERT_EQ(rep_tv.size(), ref_cluster_size(ref, u));
     }
 
     // (4) Async plane: a random slice of the same query mix routed
     // through submit() — pinned to this verified epoch — must answer
     // bit-for-bit like the direct pinned views (reports as sorted
-    // sets: member order may differ across refresh histories). The
-    // broker's standing views refresh incrementally across the
-    // schedule's epochs, so this also differentials the cached-refresh
-    // path behind the public async API on every schedule.
+    // sets: member order may differ across refresh histories).
     {
       std::vector<Query> slice;
       for (double tau : taus) {
@@ -325,9 +331,8 @@ TEST(FuzzEngine, HotspotSchedulesReuseShards) {
   cfg.num_vertices = sc.n;
   cfg.num_shards = sc.shards;
   SldService svc(cfg);
-  SubscribedView sub(svc);
   const double tau = 0.5;
-  sub.at(tau);
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
   par::Rng rng(99);
   for (int round = 0; round < 8; ++round) {
     for (int i = 0; i < 10; ++i) {
@@ -335,10 +340,11 @@ TEST(FuzzEngine, HotspotSchedulesReuseShards) {
       svc.insert(u, v, rng.next_double());
     }
     svc.flush();
-    sub.refresh();
+    tv = ThresholdView::refreshed(tv, svc.snapshot());
   }
   auto r = svc.stats();
-  EXPECT_EQ(r.sub_refreshes, 8u);
+  EXPECT_EQ(tv->epoch(), svc.epoch());
+  EXPECT_EQ(r.refresh_views_reused + r.refresh_views_incremental, 8u);
   EXPECT_EQ(r.refresh_shards_reused, 8u * 7u);
   EXPECT_EQ(r.refresh_shards_rebuilt, 8u * 1u);
   EXPECT_EQ(r.refresh_views_full, 0u);
@@ -361,9 +367,9 @@ TEST(FuzzEngine, FlatLabelPatchCountersUnderSkewedChurn) {
     svc.insert(v, v + 1, 0.2 + 0.5 * rng.next_double());
   svc.flush();
 
-  SubscribedView sub(svc);
   const double tau = 0.5;
-  sub.at(tau)->flat_clustering();  // initial materialization
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
+  tv->flat_clustering();  // initial materialization
   EXPECT_EQ(svc.stats().labels_rebuilt, 1u);
 
   const int rounds = 6;
@@ -373,10 +379,10 @@ TEST(FuzzEngine, FlatLabelPatchCountersUnderSkewedChurn) {
       svc.insert(u, v, rng.next_double());
     }
     svc.flush();
-    sub.refresh();
+    tv = ThresholdView::refreshed(tv, svc.snapshot());
     ClusterView fresh(svc.snapshot());
-    ASSERT_EQ(sub.at(tau)->flat_clustering(), fresh.at(tau)->flat_clustering());
-    ASSERT_EQ(sub.at(tau)->size_histogram(), fresh.at(tau)->size_histogram());
+    ASSERT_EQ(tv->flat_clustering(), fresh.at(tau)->flat_clustering());
+    ASSERT_EQ(tv->size_histogram(), fresh.at(tau)->size_histogram());
   }
   auto r = svc.stats();
   EXPECT_EQ(r.labels_patched, static_cast<uint64_t>(rounds));
@@ -384,31 +390,24 @@ TEST(FuzzEngine, FlatLabelPatchCountersUnderSkewedChurn) {
   EXPECT_EQ(r.labels_reused, 0u);
 }
 
-/// Concurrent epoch turnover: the background writer publishes epochs
-/// whose notifications refresh a subscription *on the writer thread*
-/// (via the publish hook) while the main thread runs typed batches
-/// against the same subscription — the writer->reader notification
-/// edge the TSan CI job watches, and the scheduler-claim-gate
-/// composition (both sides may fan out on the fork-join pool).
-TEST(FuzzEngine, ConcurrentNotifyRefreshVsReaderBatches) {
+/// Concurrent epoch turnover: reader threads submit Latest batches
+/// while the background writer publishes, so the broker refreshes its
+/// cached views on the dispatcher while the writer builds the next
+/// epoch — the publish -> dispatcher edge the TSan CI job watches, and
+/// the scheduler-claim-gate composition (both sides may fan out on the
+/// fork-join pool).
+TEST(FuzzEngine, ConcurrentSubmitVsPublish) {
   const vertex_id n = 96;
+  const double taus[2] = {0.3, 0.7};
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 4;
   cfg.flush_threshold = 24;
   cfg.flush_interval = std::chrono::microseconds(100);
   SldService svc(cfg);
-
-  std::atomic<uint64_t> notifies{0};
-  std::optional<SubscribedView> sub;
-  sub.emplace(svc, [&](uint64_t) {
-    notifies.fetch_add(1, std::memory_order_relaxed);
-    sub->refresh();  // on the publishing (writer) thread
-  });
-  sub->at(0.3);
-  sub->at(0.7);
   svc.start_writer();
 
+  std::atomic<bool> producing{true};
   std::thread producer([&] {
     par::Rng rng(2026);
     std::vector<ticket_t> live;
@@ -422,41 +421,58 @@ TEST(FuzzEngine, ConcurrentNotifyRefreshVsReaderBatches) {
         auto [u, v] = test::random_distinct_pair(rng, n);
         live.push_back(svc.insert(u, v, rng.next_double()));
       }
-      if (i % 400 == 399) std::this_thread::yield();
+      // Let the writer drain every 400 ops, so at least ten epochs
+      // publish while the readers run.
+      if (i % 400 == 399)
+        while (svc.pending_updates() > 0) std::this_thread::yield();
     }
+    producing.store(false, std::memory_order_release);
   });
 
-  par::Rng qrng(7);
-  uint64_t batches = 0;
-  while (notifies.load(std::memory_order_relaxed) < 4 || batches < 50) {
-    std::vector<Query> batch;
-    for (double tau : {0.3, 0.7}) {
-      auto [u, v] = test::random_distinct_pair(qrng, n);
-      batch.push_back(SameClusterQuery{u, u, tau});  // reflexive: always true
-      batch.push_back(SameClusterQuery{u, v, tau});
-      batch.push_back(ClusterSizeQuery{u, tau});
+  // Each reader checks invariants that hold at any epoch, and that the
+  // epochs its answers come from never go backwards.
+  auto reader = [&](uint64_t seed) {
+    par::Rng qrng(seed);
+    uint64_t batches = 0, last_epoch = 0;
+    while (producing.load(std::memory_order_acquire) || batches < 50) {
+      QueryRequest req;
+      for (double tau : taus) {
+        auto [u, v] = test::random_distinct_pair(qrng, n);
+        req.queries.push_back(SameClusterQuery{u, u, tau});  // always true
+        req.queries.push_back(SameClusterQuery{u, v, tau});
+        req.queries.push_back(ClusterSizeQuery{u, tau});
+      }
+      ResultSet rs = svc.submit(std::move(req)).get();
+      ASSERT_GE(rs.epoch, last_epoch);
+      last_epoch = rs.epoch;
+      for (size_t i = 0; i < rs.results.size(); i += 3) {
+        ASSERT_TRUE(std::get<bool>(rs.results[i]));
+        ASSERT_GE(std::get<uint64_t>(rs.results[i + 2]), 1u);
+      }
+      if (++batches > 5000) break;  // liveness guard
     }
-    auto results = sub->run(batch);
-    for (size_t i = 0; i < results.size(); i += 3) {
-      ASSERT_TRUE(std::get<bool>(results[i]));
-      ASSERT_GE(std::get<uint64_t>(results[i + 2]), 1u);
-    }
-    ++batches;
-    if (batches > 5000) break;  // liveness guard
-  }
+  };
+  std::thread r1(reader, 7), r2(reader, 8);
 
   producer.join();
+  r1.join();
+  r2.join();
   svc.stop_writer();
-  // Catch up and verify the final epoch exactly.
-  sub->refresh();
+  // The final epoch, exactly: the cached views refresh on demand to it.
   auto snap = svc.snapshot();
+  EXPECT_GE(snap->epoch(), 10u);
+  QueryRequest req;
+  for (double tau : taus) req.queries.push_back(FlatClusteringQuery{tau});
+  ResultSet rs = svc.submit(std::move(req)).get();
+  ASSERT_EQ(rs.epoch, snap->epoch());
   ClusterView fresh(snap);
-  for (double tau : {0.3, 0.7})
-    ASSERT_EQ(sub->at(tau)->flat_clustering(),
-              fresh.at(tau)->flat_clustering());
-  EXPECT_GT(notifies.load(), 0u);
-  EXPECT_GT(svc.stats().sub_refreshes, 0u);
-  sub.reset();  // unregister before the service dies
+  for (size_t i = 0; i < std::size(taus); ++i)
+    ASSERT_EQ(std::get<std::vector<vertex_id>>(rs.results[i]),
+              fresh.at(taus[i])->flat_clustering());
+  EXPECT_GT(svc.stats().refresh_views_reused +
+                svc.stats().refresh_views_incremental +
+                svc.stats().refresh_views_full,
+            0u);
 }
 
 // The durability cross-check: run scenario schedules against a

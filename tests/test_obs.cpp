@@ -16,7 +16,6 @@
 
 #include "engine/sld_service.hpp"
 #include "engine/stats.hpp"
-#include "engine/subscription.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -353,7 +352,7 @@ TEST(EngineObs, RegistersEveryCounterAndTheHistogramCatalog) {
        {"flush.drain", "flush.apply", "flush.shard_build", "flush.shards",
         "flush.cross", "flush.publish", "flush.notify", "flush.total",
         "broker.intake_wait", "broker.park", "broker.resolve",
-        "broker.fulfill", "broker.cycle", "sub.refresh"}) {
+        "broker.fulfill", "broker.cycle", "broker.execute"}) {
     EXPECT_NE(o.registry.find_histogram(h), nullptr) << h;
   }
   // Counter bumps are visible through the registry: same atomics.
@@ -418,24 +417,36 @@ TEST(EngineTrace, FlushFreezesEpochTraceAndRecordsStageSpans) {
   EXPECT_TRUE(saw_epoch);
 }
 
-TEST(EngineTrace, SubscribedViewRefreshRecordsHistogram) {
+/// broker.execute times each (epoch, tau) group's query fan-out, once
+/// per group, next to broker.resolve: one request over three taus is
+/// three groups.
+TEST(EngineTrace, BrokerExecuteRecordsOncePerGroup) {
   engine::ServiceConfig cfg;
   cfg.num_vertices = 48;
   cfg.num_shards = 2;
   engine::SldService svc(cfg);
   auto rng = test::test_rng();
-  {
-    engine::SubscribedView sub(svc);
-    for (int i = 0; i < 60; ++i) {
-      auto [u, v] = test::random_distinct_pair(rng, 48);
-      svc.insert(u, v, rng.next_double());
-    }
-    svc.flush();
-    (void)sub.at(0.5);  // resolve a view so refresh() has work
-    EXPECT_TRUE(sub.stale());
-    EXPECT_TRUE(sub.refresh());
-    EXPECT_GE(svc.obs().sub_refresh->snapshot().count, 1u);
+  for (int i = 0; i < 60; ++i) {
+    auto [u, v] = test::random_distinct_pair(rng, 48);
+    svc.insert(u, v, rng.next_double());
   }
+  svc.flush();
+
+  engine::QueryRequest req;
+  for (double tau : {0.2, 0.5, 0.8}) {
+    req.queries.push_back(engine::SameClusterQuery{1, 2, tau});
+    req.queries.push_back(engine::ClusterSizeQuery{3, tau});
+  }
+  // Each group closes its spans before it counts itself done, so all
+  // three have recorded by the time the request is fulfilled.
+  svc.submit(std::move(req)).get();
+  EXPECT_EQ(svc.stats().broker_groups, 3u);
+  EXPECT_EQ(svc.obs().broker_execute->snapshot().count, 3u);
+  EXPECT_EQ(svc.obs().broker_resolve->snapshot().count, 3u);
+  size_t spans = 0;
+  for (const auto& s : svc.obs().trace.snapshot())
+    spans += std::string(s.name) == "broker.execute";
+  EXPECT_EQ(spans, 3u);
 }
 
 TEST(EngineTrace, ObsBundleOutlivesService) {
