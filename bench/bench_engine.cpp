@@ -11,14 +11,14 @@
 //   3. Coalescing: short-lived edges annihilate in the mutation queue
 //      and never reach the shards.
 //   4. View amortization: N mixed queries at one tau through one
-//      ThresholdView per call vs one shared ThresholdView vs one batched
-//      ClusterView::run() — one cross-shard merge resolution amortized
-//      over the whole batch.
+//      ThresholdView per call vs one held ThresholdView vs the same
+//      batch through the broker's run() — one cross-shard merge
+//      resolution amortized over the whole batch.
 //   5. View refresh: skewed traffic keeps hammering one shard of
 //      eight; a held ThresholdView carried to each epoch through
 //      ThresholdView::refreshed (incremental: clean shards' endpoint
-//      tops reused, blob union-find re-run) vs a fresh view()+at(tau)
-//      (full resolution) per epoch.
+//      tops reused, blob union-find re-run) vs a freshly constructed
+//      ThresholdView (full resolution) per epoch.
 //   6. Flat-label maintenance: same skewed traffic; the refreshed
 //      view's flat_clustering() patches the previous epoch's label
 //      array (dirty shard ranges + cross groups) vs the fresh view's
@@ -280,11 +280,10 @@ static void view_amortization(bool smoke) {
   }
   double per_call_ms = now_ms() - t0;
 
-  ClusterView view = svc.view();
   auto before = svc.stats();
   t0 = now_ms();
-  auto tv = view.at(tau);
-  for (const Query& query : queries) tv->run(query);
+  ThresholdView tv(snap, tau);
+  for (const Query& query : queries) tv.run(query);
   double view_ms = now_ms() - t0;
   auto after = svc.stats();
 
@@ -374,8 +373,8 @@ static void view_refresh(bool smoke) {
     svc.flush();
 
     double t0 = now_ms();
-    ClusterView fresh = svc.view();
-    auto ftv = fresh.at(tau);  // full resolution every epoch (poll-and-rebuild)
+    // Full resolution every epoch (poll-and-rebuild).
+    ThresholdView ftv(svc.snapshot(), tau);
     fresh_ms += now_ms() - t0;
 
     t0 = now_ms();
@@ -383,14 +382,14 @@ static void view_refresh(bool smoke) {
     tv = ThresholdView::refreshed(tv, svc.snapshot());
     refresh_ms += now_ms() - t0;
 
-    sanity += tv->num_cross_groups() == ftv->num_cross_groups();
+    sanity += tv->num_clusters() == ftv.num_clusters();
   }
   auto after = svc.stats();
 
   bench::row("%-26s %d shards x %d vertices, %zu cross edges, %d epochs",
              "skewed-churn workload:", shards, block,
              (size_t)svc.snapshot()->cross().size(), rounds);
-  bench::row("%-26s %10.3f ms/epoch", "fresh view()+at(tau):",
+  bench::row("%-26s %10.3f ms/epoch", "fresh ThresholdView:",
              fresh_ms / rounds);
   bench::row("%-26s %10.3f ms/epoch  %.1fx", "refreshed view:",
              refresh_ms / rounds, refresh_ms > 0 ? fresh_ms / refresh_ms : 0.0);
@@ -481,10 +480,9 @@ static void label_maintenance(bool smoke) {
 
     // Both sides resolve their view first; only the lazy label
     // materialization is timed (the resolution delta is E-ENGINE-5).
-    ClusterView fresh = svc.view();
-    auto ftv = fresh.at(tau);
+    ThresholdView ftv(svc.snapshot(), tau);
     double t0 = now_ms();
-    const auto& full = ftv->flat_clustering();  // global relabel
+    const auto& full = ftv.flat_clustering();  // global relabel
     full_ms += now_ms() - t0;
 
     tv = ThresholdView::refreshed(tv, svc.snapshot());
@@ -492,7 +490,7 @@ static void label_maintenance(bool smoke) {
     const auto& patched = tv->flat_clustering();  // copy + patch
     patched_ms += now_ms() - t0;
 
-    sanity += full == patched && ftv->size_histogram() == tv->size_histogram();
+    sanity += full == patched && ftv.size_histogram() == tv->size_histogram();
   }
   auto after = svc.stats();
 
@@ -592,10 +590,10 @@ static void broker_cross_client(bool smoke) {
           if (mode == kPerCaller) {
             // The pre-broker pattern: this client's own fresh view per
             // epoch — N clients, N resolutions, zero sharing.
-            auto tv = svc.view().at(tau);
+            ThresholdView tv(svc.snapshot(), tau);
             for (int i = 0; i < per_round; ++i) {
               double s = now_ms();
-              tv->cluster_size(qr.next_bounded(n));
+              tv.cluster_size(qr.next_bounded(n));
               local.push_back(now_ms() - s);
             }
           } else if (mode == kSyncRun) {

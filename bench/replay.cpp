@@ -126,7 +126,8 @@ ReplayReport replay(const Trace& trace, SldService& svc,
       auto target = [&]() -> std::shared_ptr<const ThresholdView> {
         if (opt.amortize_views) {
           if (!tv || svc.epoch() != tv->epoch())
-            tv = svc.view().at(opt.tau);
+            tv = std::make_shared<const ThresholdView>(svc.snapshot(),
+                                                       opt.tau);
           return tv;
         }
         return std::make_shared<const ThresholdView>(svc.snapshot(), opt.tau);

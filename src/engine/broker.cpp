@@ -309,12 +309,20 @@ void QueryBroker::dispatcher_loop() {
              published_.load(std::memory_order_acquire) > last_epoch_;
     });
     if (stop_) break;
-    if (intake_.load() == nullptr && parked_.empty() &&
-        !abort_waiters_.load(std::memory_order_acquire) &&
-        published_.load(std::memory_order_acquire) <= last_epoch_)
-      continue;
+    const bool work = intake_.load() != nullptr || !parked_.empty() ||
+                      abort_waiters_.load(std::memory_order_acquire);
+    const uint64_t published = published_.load(std::memory_order_acquire);
+    if (!work && published <= last_epoch_) continue;
     lk.unlock();
-    dispatch_cycle();
+    if (work) {
+      dispatch_cycle();
+    } else {
+      // A publish with nothing queued or parked: no cycle, no snapshot
+      // acquire, no span — only age the cache, so idle views stop
+      // pinning old epochs even while nobody queries.
+      last_epoch_ = published;
+      evict_idle(published);
+    }
     lk.lock();
   }
 }
@@ -330,7 +338,7 @@ void QueryBroker::dispatch_cycle() {
 
   EpochManager::Snap cur = epochs_.acquire();
   last_epoch_ = cur->epoch();
-  ++cycle_;  // standing-cache age tick
+  ++cycle_;
   const auto now = std::chrono::steady_clock::now();
   obs::ScopedSpan cycle_span(obs_ ? &obs_->trace : nullptr, "broker.cycle",
                              cycle_, obs_ ? obs_->broker_cycle : nullptr);
@@ -452,7 +460,7 @@ void QueryBroker::dispatch_cycle() {
     for (Group& g : groups) {
       if (g.current) {
         auto it = views_.find(g.tau);
-        if (it != views_.end()) g.prev = it->second.view;
+        if (it != views_.end()) g.prev = it->second;
       }
       Request* prev_r = nullptr;
       for (const auto& [r, qi] : g.items) {
@@ -518,18 +526,16 @@ void QueryBroker::dispatch_cycle() {
   }
 
   // Cache maintenance: absorb this cycle's current-epoch views and
-  // evict entries idle past kIdleEvictCycles. Survivors stay at the
+  // evict entries idle past kIdleEvictEpochs. Survivors stay at the
   // epoch they were last used at; the next group at their tau refreshes
   // them on demand.
   std::set<double> used;
   for (Group& g : groups) {
     if (!g.current) continue;
-    views_[g.tau] = CachedView{g.view, cycle_};
+    views_[g.tau] = g.view;
     used.insert(g.tau);
   }
-  std::erase_if(views_, [&](const auto& kv) {
-    return cycle_ - kv.second.last_used > kIdleEvictCycles;
-  });
+  evict_idle(cur->epoch());
   // Hard cap on actively-used taus: on cycles that queried, drop
   // everything this cycle didn't touch once the cache overflows.
   if (!used.empty() && views_.size() > kMaxCachedTaus)
@@ -549,6 +555,12 @@ void QueryBroker::dispatch_cycle() {
     }
     parked_.clear();
   }
+}
+
+void QueryBroker::evict_idle(uint64_t epoch) {
+  std::erase_if(views_, [&](const auto& kv) {
+    return kv.second->epoch() + kIdleEvictEpochs < epoch;
+  });
 }
 
 }  // namespace dynsld::engine

@@ -40,9 +40,11 @@
 // ThresholdView::refreshed, on demand: a publish does no view work, and
 // the first group at a cached tau in a newer epoch refreshes the cached
 // view once, across however many epochs it skipped. Taus nobody asks
-// about cost nothing per publish; an idle entry is evicted after
-// kIdleEvictCycles dispatch cycles, which bounds how long it pins its
-// epoch.
+// about cost nothing per publish: a publish with nothing queued or
+// parked runs no dispatch cycle, only the cache's aging. A cached view
+// sits at the epoch a query last used it at, and is evicted once it is
+// more than kIdleEvictEpochs epochs behind, which bounds how long it
+// pins its epoch whatever the request rate.
 //
 // Threading: submit()/submit_batch() are thread-safe and lock-free on
 // the intake path (one CAS per request chain plus a wakeup). The
@@ -130,9 +132,10 @@ class QueryBroker {
   void set_rehydrator(Rehydrator fn);
 
   /// Publish signal: `epoch` is now current. Wakes the dispatcher so
-  /// AtLeastEpoch waiters unpark; no view work happens until a query
-  /// asks. Called by the service after every publish, from the
-  /// publishing thread; epochs may arrive out of order.
+  /// AtLeastEpoch waiters unpark and idle cached views age; no view
+  /// work happens until a query asks. Called by the service after every
+  /// publish, from the publishing thread; epochs may arrive out of
+  /// order.
   void on_publish(uint64_t epoch);
 
   /// Nudge the dispatcher to run a cycle now (deadline sweep, unpark
@@ -211,6 +214,8 @@ class QueryBroker {
   /// One dispatch cycle: drain intake, unpark/expire waiters, classify,
   /// group across clients, execute, fulfill.
   void dispatch_cycle();
+  /// Drop cached views more than kIdleEvictEpochs epochs behind `epoch`.
+  void evict_idle(uint64_t epoch);
 
   const EpochManager& epochs_;
   std::shared_ptr<EngineObs> obs_;
@@ -238,25 +243,18 @@ class QueryBroker {
   std::mutex shutdown_mu_;  // serializes concurrent shutdown() calls
   std::thread dispatcher_;
 
-  /// One standing-cache entry: the resolved view plus the dispatch
-  /// cycle that last used it (idle entries are evicted, so a tau nobody
-  /// queries stops pinning its epoch).
-  struct CachedView {
-    std::shared_ptr<const ThresholdView> view;
-    uint64_t last_used = 0;
-  };
-
   // Dispatcher-thread-only state (shutdown touches it after join).
   std::vector<Request*> parked_;  // AtLeastEpoch waiters
-  uint64_t last_epoch_ = 0;       // epoch of the last cycle's snapshot
-  uint64_t cycle_ = 0;            // dispatch-cycle counter (cache aging)
+  uint64_t last_epoch_ = 0;       // latest epoch the dispatcher has seen
+  uint64_t cycle_ = 0;            // dispatch-cycle counter (span tag)
   std::atomic<uint64_t> published_{0};  // max epoch on_publish announced
   /// Standing Latest-view cache, one entry per tau, carried across
-  /// epochs via ThresholdView::refreshed when a group asks.
-  std::map<double, CachedView> views_;
+  /// epochs via ThresholdView::refreshed when a group asks. Each view
+  /// sits at the epoch it was last used at: that is its age.
+  std::map<double, std::shared_ptr<const ThresholdView>> views_;
 
   static constexpr size_t kMaxCachedTaus = 64;
-  static constexpr uint64_t kIdleEvictCycles = 16;
+  static constexpr uint64_t kIdleEvictEpochs = 16;
 };
 
 }  // namespace dynsld::engine

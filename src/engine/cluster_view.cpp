@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <map>
 #include <numeric>
 
 #include "dendrogram/static_sld.hpp"
-#include "parallel/par.hpp"
 
 namespace dynsld::engine {
 
@@ -543,7 +543,7 @@ uint64_t ThresholdView::num_clusters() const {
 
 QueryResult ThresholdView::run(const Query& q) const {
   // This view's threshold is authoritative (see header); the request's
-  // tau is only the ClusterView::run routing key.
+  // tau is only the broker's routing key.
   assert(query_tau(q) == tau_);
   struct Dispatch {
     const ThresholdView& v;
@@ -567,51 +567,6 @@ QueryResult ThresholdView::run(const Query& q) const {
     }
   };
   return std::visit(Dispatch{*this}, q);
-}
-
-ClusterView::ClusterView(EpochManager::Snap snap)
-    : snap_(std::move(snap)), cache_(std::make_shared<Cache>()) {}
-
-std::shared_ptr<const ThresholdView> ClusterView::at(double tau) const {
-  {
-    std::lock_guard<std::mutex> lk(cache_->mu);
-    auto it = cache_->views.find(tau);
-    if (it != cache_->views.end()) return it->second;
-  }
-  // Build outside the lock (the resolution can be expensive); a racing
-  // builder at the same tau loses to whoever inserts first.
-  auto view = std::make_shared<const ThresholdView>(snap_, tau);
-  std::lock_guard<std::mutex> lk(cache_->mu);
-  auto [it, fresh] = cache_->views.try_emplace(tau, std::move(view));
-  return it->second;
-}
-
-std::vector<QueryResult> ClusterView::run(std::span<const Query> queries) const {
-  std::vector<QueryResult> out(queries.size());
-  std::map<double, std::vector<uint32_t>> by_tau;
-  for (uint32_t i = 0; i < queries.size(); ++i)
-    by_tau[query_tau(queries[i])].push_back(i);
-  std::vector<const std::pair<const double, std::vector<uint32_t>>*> groups;
-  groups.reserve(by_tau.size());
-  for (const auto& g : by_tau) groups.push_back(&g);
-
-  if (const auto& stats = snap_->stats()) {
-    stats->batch_runs.fetch_add(1, std::memory_order_relaxed);
-    stats->batch_queries.fetch_add(queries.size(), std::memory_order_relaxed);
-  }
-
-  par::parallel_for(
-      0, groups.size(),
-      [&](size_t g) {
-        auto view = at(groups[g]->first);  // one resolution per tau
-        const std::vector<uint32_t>& idx = groups[g]->second;
-        par::parallel_for(
-            0, idx.size(),
-            [&](size_t j) { out[idx[j]] = view->run(queries[idx[j]]); },
-            /*grain=*/8);
-      },
-      /*grain=*/1);
-  return out;
 }
 
 }  // namespace dynsld::engine

@@ -1,12 +1,16 @@
-// First-class read views over an epoch snapshot — the query plane.
+// ThresholdView: one epoch snapshot resolved at one threshold — the
+// one answerer of the §6.1 queries over frozen state.
 //
-//   SldService::view() ──> ClusterView (pins one epoch)
-//                             │ at(tau)            (cached per tau)
-//                             v
-//                          ThresholdView (merge resolved ONCE at tau)
-//                             │ same_cluster / cluster_size /
-//                             │ cluster_report / flat_clustering /
-//                             │ size_histogram / run(Query)
+//   EngineSnapshot ──> ThresholdView (merge resolved ONCE at tau)
+//                        │ same_cluster / cluster_size /
+//                        │ cluster_report / flat_clustering /
+//                        │ size_histogram / num_clusters / run(Query)
+//
+// Callers reach it two ways: the QueryBroker (broker.hpp) groups
+// submitted queries by (snapshot, tau) and resolves one view per group
+// — a pinned batch is a submit() with Pinned{snap} — and a caller that
+// wants to hold one pinned threshold itself constructs
+// ThresholdView(snap, tau) directly.
 //
 // A ThresholdView resolves everything tau-dependent up front, exactly
 // once: it scans the weight-ascending cross-edge prefix (w <= tau),
@@ -65,17 +69,10 @@
 // gates the seed: when the rebuilt vertex mass is a majority of n the
 // copy stops paying and the view rebuilds (labels_rebuilt vs
 // labels_patched vs labels_reused in EngineStats).
-//
-// ClusterView is a cheap value type (two shared_ptrs): it pins the
-// epoch like EngineSnapshot does and memoizes ThresholdViews by tau.
-// run() executes a typed Query batch: group by tau, resolve each
-// threshold once, fan the groups out on the fork-join scheduler.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -94,8 +91,8 @@ namespace dynsld::engine {
 class ThresholdView {
  public:
   /// Resolve `snap` at threshold tau (one cross-shard union-find
-  /// build). Prefer ClusterView::at(), which memoizes, or refreshed(),
-  /// which carries an older view across epochs incrementally.
+  /// build). To follow a stream, prefer refreshed(), which carries an
+  /// older view across epochs incrementally.
   ThresholdView(EpochManager::Snap snap, double tau);
 
   /// Refresh `prev` onto `snap` (same threshold, newer epoch): shares
@@ -143,13 +140,10 @@ class ThresholdView {
 
   /// Dispatch one typed query. The view's threshold is authoritative:
   /// the request is answered at tau() regardless of its own tau field
-  /// (which only ClusterView::run uses, to route each query to the
-  /// right view). Passing a mismatched query is a caller bug — asserted
-  /// in debug builds; route through ClusterView::run when in doubt.
+  /// (which only the broker uses, to route each query to the right
+  /// view). Passing a mismatched query is a caller bug — asserted in
+  /// debug builds; submit through the broker when in doubt.
   QueryResult run(const Query& q) const;
-
-  /// Number of merged cross-shard groups (introspection/tests).
-  size_t num_cross_groups() const { return res_ ? res_->group_size.size() : 0; }
 
  private:
   // A blob is the unit the cross merge unites: one shard-local cluster
@@ -257,41 +251,6 @@ class ThresholdView {
   mutable std::mutex labels_build_mu_;  // serializes materializations
   mutable std::shared_ptr<const LabelSet> labels_;
   mutable std::shared_ptr<const LabelSeed> seed_;  // consumed by label_set()
-};
-
-/// The query plane's entry point: pins one epoch and memoizes one
-/// ThresholdView per threshold. A cheap value type (two shared_ptrs) —
-/// copy it freely; copies share the epoch pin and the view cache. All
-/// methods are thread-safe; the epoch never changes under a
-/// ClusterView (submit Latest requests to follow the stream).
-class ClusterView {
- public:
-  /// Pin `snap`'s epoch. Prefer SldService::view(), which acquires the
-  /// current epoch for you.
-  explicit ClusterView(EpochManager::Snap snap);
-
-  /// The pinned epoch / its snapshot (valid for this view's lifetime).
-  uint64_t epoch() const { return snap_->epoch(); }
-  const EngineSnapshot& snapshot() const { return *snap_; }
-  EpochManager::Snap snap() const { return snap_; }
-
-  /// The resolved view at threshold tau; memoized, so every later
-  /// at(tau) — and every run() query at tau — reuses the resolution.
-  std::shared_ptr<const ThresholdView> at(double tau) const;
-
-  /// Execute a typed query batch: group by tau, resolve each distinct
-  /// threshold once, run the groups in parallel on the fork-join
-  /// scheduler. results[i] answers queries[i].
-  std::vector<QueryResult> run(std::span<const Query> queries) const;
-
- private:
-  struct Cache {
-    std::mutex mu;
-    std::map<double, std::shared_ptr<const ThresholdView>> views;
-  };
-
-  EpochManager::Snap snap_;
-  std::shared_ptr<Cache> cache_;
 };
 
 }  // namespace dynsld::engine

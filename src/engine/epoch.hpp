@@ -173,11 +173,6 @@ class EngineSnapshot {
   /// edges only; cross-table edges are raw and counted by cross().
   size_t num_tree_edges() const;
 
-  /// The epoch's full alive edge set (tree + non-tree + cross), present
-  /// only when the service runs with capture_edges (verification mode);
-  /// ids are dense positions.
-  const std::vector<WeightedEdge>& captured_edges() const { return edges_; }
-
   /// Query accounting sink shared with the publishing service (may be
   /// null in unit contexts); views bump their counters through it.
   const std::shared_ptr<EngineStats>& stats() const { return stats_; }
@@ -201,7 +196,6 @@ class EngineSnapshot {
   std::shared_ptr<const CrossEdgeView> cross_;
   EpochDelta delta_;
   obs::EpochTrace trace_;
-  std::vector<WeightedEdge> edges_;
   // Query accounting: shared with the publishing service so counting
   // stays safe even for readers that outlive it.
   std::shared_ptr<EngineStats> stats_;

@@ -109,8 +109,7 @@ void ShardRouter::apply(const MutationQueue::Drained& batch) {
 }
 
 std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
-    uint64_t epoch, const EngineSnapshot* prev, bool capture_edges,
-    obs::EpochTrace seed) {
+    uint64_t epoch, const EngineSnapshot* prev, obs::EpochTrace seed) {
   auto t0 = std::chrono::steady_clock::now();
   auto snap = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
   snap->epoch_ = epoch;
@@ -215,12 +214,6 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
   seed.epoch = epoch;
   seed.shards_rebuilt = static_cast<int>(built);
   snap->trace_ = seed;
-
-  if (capture_edges) {
-    for (const MutationQueue::InsertOp& op : live_edges())
-      snap->edges_.push_back(WeightedEdge{
-          op.u, op.v, op.w, static_cast<edge_id>(snap->edges_.size())});
-  }
 
   if (stats_) {
     auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

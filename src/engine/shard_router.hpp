@@ -63,25 +63,22 @@ class ShardRouter {
   void apply(const MutationQueue::Drained& batch);
 
   /// Materialize the epoch snapshot after apply(). Shards untouched
-  /// since `prev` reuse prev's per-shard snapshots; `capture_edges`
-  /// additionally copies the full alive edge set into the snapshot for
-  /// reference verification. The snapshot carries an EpochDelta (shard
-  /// rebuild flags + cross-edge churn accumulated since the previous
-  /// build) for view refreshes, and an EpochTrace: the caller
-  /// seeds the pre-build stages (drain/apply) in `seed`, the router
-  /// fills the shard-rebuild and cross-rebuild stages and freezes the
-  /// whole record into the snapshot. Clears the dirty flags and delta
-  /// accumulators.
+  /// since `prev` reuse prev's per-shard snapshots. The snapshot
+  /// carries an EpochDelta (shard rebuild flags + cross-edge churn
+  /// accumulated since the previous build) for view refreshes, and an
+  /// EpochTrace: the caller seeds the pre-build stages (drain/apply) in
+  /// `seed`, the router fills the shard-rebuild and cross-rebuild
+  /// stages and freezes the whole record into the snapshot. Clears the
+  /// dirty flags and delta accumulators.
   std::shared_ptr<const EngineSnapshot> build_snapshot(
-      uint64_t epoch, const EngineSnapshot* prev, bool capture_edges,
-      obs::EpochTrace seed = {});
+      uint64_t epoch, const EngineSnapshot* prev, obs::EpochTrace seed = {});
 
   /// Every live edge as the insertion that created it — original
   /// ticket, global endpoints as inserted, exact weight — in ascending
   /// ticket order, read straight off the ticket table. This IS the
   /// live-edge table: a checkpoint serializes it (replaying it as one
-  /// batch rebuilds the engine, endpoint ledger included) and
-  /// capture_edges copies it into the snapshot. O(tickets issued).
+  /// batch rebuilds the engine, endpoint ledger included). O(tickets
+  /// issued).
   std::vector<MutationQueue::InsertOp> live_edges() const;
 
  private:

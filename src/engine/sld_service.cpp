@@ -26,7 +26,7 @@ SldService::SldService(const ServiceConfig& cfg)
   // AsOf retention: superseded epochs stay queryable from memory.
   epochs_.set_retention(cfg_.retain_epochs);
   // Epoch 0: the empty snapshot, so readers never see a null view.
-  epochs_.publish(router_.build_snapshot(0, nullptr, cfg_.capture_edges));
+  epochs_.publish(router_.build_snapshot(0, nullptr));
   broker_ = std::make_unique<QueryBroker>(
       epochs_, obs_, QueryBroker::Options{cfg_.broker_queue_depth});
   if (cfg_.persist.enabled()) {
@@ -164,7 +164,7 @@ uint64_t SldService::commit(std::unique_lock<std::mutex>& lk, uint64_t e,
   // The router fills the build stages and freezes the trace into the
   // snapshot.
   EpochManager::Snap published =
-      router_.build_snapshot(e, prev.get(), cfg_.capture_edges, seed);
+      router_.build_snapshot(e, prev.get(), seed);
   obs::ScopedSpan publish_span(&obs_->trace, "flush.publish", e,
                                obs_->flush_publish);
   epochs_.publish(published);

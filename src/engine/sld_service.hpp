@@ -11,8 +11,9 @@
 //   (per-shard batches,        |          dispatcher: group clients by
 //    Thm 1.1/1.2/1.5)          |          (epoch, tau), one view per
 //                              |          group, fulfill futures)
-//                              +--------> EpochManager (pinned views:
-//                                         ClusterView escape hatch)
+//                              +--------> EpochManager (pinned
+//                                         snapshots: Pinned requests,
+//                                         ThresholdView(snap, tau))
 //
 // Mutations are cheap enqueues returning a ticket; a flush (caller-
 // driven via flush(), or the background writer thread) drains the
@@ -28,8 +29,9 @@
 // requests into (epoch, tau) groups so the merge resolution is paid
 // once per group fleet-wide, not per caller (broker.hpp). The sync
 // surfaces — run() and the single-shot conveniences — are thin
-// submit-and-wait wrappers over one-element requests. Power users who
-// want explicit epoch pinning keep ClusterView.
+// submit-and-wait wrappers over one-element requests. Callers who
+// want explicit epoch pinning hold snapshot() and submit with
+// Pinned{snap}, or construct ThresholdView(snap, tau) themselves.
 //
 // Views refresh only when a query asks: every publish signals the
 // broker (QueryBroker::on_publish), which wakes its dispatcher but does
@@ -50,7 +52,6 @@
 #include <thread>
 
 #include "engine/broker.hpp"
-#include "engine/cluster_view.hpp"
 #include "engine/epoch.hpp"
 #include "engine/mutation_queue.hpp"
 #include "engine/query.hpp"
@@ -73,8 +74,6 @@ struct ServiceConfig {
   size_t flush_threshold = 256;
   /// ...or this much time passed since the last flush, whichever first.
   std::chrono::microseconds flush_interval{200};
-  /// Epoch snapshots carry their full edge set (verification mode).
-  bool capture_edges = false;
   /// Dirty-shard snapshots patch the previous epoch's arrays
   /// copy-on-write when the batch's structural footprint is small
   /// (retained contraction-round state; engine/contraction.hpp). Off:
@@ -96,9 +95,9 @@ struct ServiceConfig {
 };
 
 /// The serving engine's facade: thread-safe update enqueue + flush on
-/// the writer side, brokered requests and epoch-pinned views on the
+/// the writer side, brokered requests and epoch-pinned snapshots on the
 /// reader side. Readers never block writers and vice versa; any state a
-/// reader obtains (snapshot(), view(), a ResultSet) stays valid and
+/// reader obtains (snapshot(), a ResultSet) stays valid and
 /// self-consistent no matter how many flushes happen meanwhile.
 class SldService {
  public:
@@ -172,12 +171,6 @@ class SldService {
   EpochManager::Snap snapshot_at(uint64_t epoch) const {
     return epochs_.at_epoch(epoch);
   }
-
-  /// Pin the current epoch as a ClusterView: the full query surface
-  /// with per-threshold merge resolution cached across calls — the
-  /// power-user pinned-epoch escape hatch (the broker is the default
-  /// path; a pinned view never moves epochs under you).
-  ClusterView view() const { return ClusterView(epochs_.acquire()); }
 
   /// Synchronous convenience: submit-and-wait on one Latest request.
   /// results[i] answers queries[i], all at one epoch. Batch traffic

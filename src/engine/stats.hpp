@@ -65,8 +65,6 @@ namespace dynsld::engine {
   /* -- view plane -- */                                                  \
   X(views_built)          /* ThresholdView resolutions */                 \
   X(cross_uf_builds)      /* full cross-shard union-find builds */        \
-  X(batch_runs)           /* ClusterView::run calls */                    \
-  X(batch_queries)        /* queries executed via run() */                \
   /* -- view refresh (ThresholdView::refreshed) -- */                     \
   X(refresh_views_reused) /* resolution shared wholesale */               \
   X(refresh_views_incremental) /* dirty shards re-topped */               \
@@ -365,7 +363,7 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
                "engine stats: enq %llu+/%llu-  coalesced %llu  flushes %llu "
                "(avg batch %.1f, max %llu)  epochs %llu  snapshots %llu built "
                "/ %llu reused (%.2f ms total)  queries %llu  cross ops %llu  "
-               "views %llu (%llu cross-uf)  batches %llu (%llu queries)\n",
+               "views %llu (%llu cross-uf)\n",
                (unsigned long long)r.inserts_enqueued,
                (unsigned long long)r.erases_enqueued,
                (unsigned long long)r.coalesced_pairs,
@@ -377,9 +375,7 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
                r.snapshot_build_ns / 1e6, (unsigned long long)r.queries(),
                (unsigned long long)r.cross_ops,
                (unsigned long long)r.views_built,
-               (unsigned long long)r.cross_uf_builds,
-               (unsigned long long)r.batch_runs,
-               (unsigned long long)r.batch_queries);
+               (unsigned long long)r.cross_uf_builds);
   if (r.refresh_views_reused || r.refresh_views_incremental ||
       r.refresh_views_full)
     std::fprintf(out,

@@ -43,8 +43,8 @@ struct Job {
 /// writer flushes — never need to coordinate). This is what lets the
 /// engine's flushes compose with concurrent reader batches: a shard
 /// rebuild on the flushing thread, the broker's group fan-out on its
-/// dispatcher and a ClusterView::run fan-out on a reader thread can all
-/// call par_do at once; whichever loses the gate degrades to sequential
+/// dispatcher and a parallel_for on a reader thread can all call par_do
+/// at once; whichever loses the gate degrades to sequential
 /// execution of the same computation, never to blocking or deadlock.
 class Scheduler {
  public:

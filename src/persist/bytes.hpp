@@ -87,6 +87,16 @@ class ByteReader {
     p_ += len;
   }
 
+  /// Consume `len` bytes unread (fails on underrun).
+  void skip(size_t len) {
+    if (remaining() < len) {
+      ok_ = false;
+      p_ = end_;
+      return;
+    }
+    p_ += len;
+  }
+
   /// Read a pod_vec()-encoded vector; an implausible count (more
   /// elements than bytes remain) fails instead of allocating.
   template <class T>

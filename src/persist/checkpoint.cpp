@@ -78,15 +78,9 @@ void SnapshotCodec::encode(const engine::EngineSnapshot& snap,
   out.u64(tr.apply_ns);
   out.u64(tr.shards_ns);
   out.u64(tr.cross_ns);
-  // Captured edges (field-wise: WeightedEdge has tail padding, and the
-  // file bytes should be a pure function of the state).
-  out.u64(snap.edges_.size());
-  for (const WeightedEdge& e : snap.edges_) {
-    out.u32(e.u);
-    out.u32(e.v);
-    out.f64(e.weight);
-    out.u32(e.id);
-  }
+  // Retired captured-edge section: always written empty. The count
+  // stays in the layout so sections that do carry entries still decode.
+  out.u64(0);
 }
 
 engine::EpochManager::Snap SnapshotCodec::decode(
@@ -152,17 +146,11 @@ engine::EpochManager::Snap SnapshotCodec::decode(
   tr.apply_ns = in.u64();
   tr.shards_ns = in.u64();
   tr.cross_ns = in.u64();
+  // Retired captured-edge section: entries (u32 u, u32 v, f64 w, u32 id)
+  // carry nothing the engine reads, so they are skipped.
   uint64_t n_edges = in.u64();
   if (n_edges > in.remaining() / 20) return nullptr;  // 20 B encoded each
-  snap->edges_.reserve(static_cast<size_t>(n_edges));
-  for (uint64_t i = 0; i < n_edges; ++i) {
-    WeightedEdge e;
-    e.u = in.u32();
-    e.v = in.u32();
-    e.weight = in.f64();
-    e.id = in.u32();
-    snap->edges_.push_back(e);
-  }
+  in.skip(static_cast<size_t>(n_edges) * 20);
   if (!in.ok()) return nullptr;
   snap->stats_ = std::move(stats);
   snap->obs_ = std::move(obs);

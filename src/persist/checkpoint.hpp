@@ -57,8 +57,8 @@ namespace dynsld::persist {
 /// process boundary). encode/decode round-trip bit-exactly; the layout
 /// is versioned by the checkpoint header.
 struct SnapshotCodec {
-  /// Serialize `snap` (shards, cross table, delta, trace, captured
-  /// edges) into `out`.
+  /// Serialize `snap` (shards, cross table, delta, trace, and an empty
+  /// retired edge section) into `out`.
   static void encode(const engine::EngineSnapshot& snap, ByteWriter& out);
   /// Serialize one shard's DendrogramSnapshot — the per-shard unit
   /// encode() emits — in its canonical rank-ordered form (slot = rank

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -34,18 +35,24 @@ uint64_t executed_queries(const SldService& svc) {
 }
 
 /// Seed a 2-shard service with intra edges in both shards plus sub-tau
-/// cross edges, then flush: queries at tau 0.6 have a real cross merge.
-void seed_two_shards(SldService& svc, par::Rng& rng) {
+/// cross edges, recorded in `ledger`, then flush: queries at tau 0.6
+/// have a real cross merge.
+void seed_two_shards(SldService& svc, par::Rng& rng, test::EdgeLedger& ledger) {
   for (int k = 0; k < 2; ++k) {
     for (int i = 0; i < 30; ++i) {
       auto [u, v] = test::random_block_pair(rng, static_cast<vertex_id>(k) * 20, 20);
-      svc.insert(u, v, rng.next_double() * 0.5);
+      ledger.insert(svc, u, v, rng.next_double() * 0.5);
     }
   }
   for (int i = 0; i < 8; ++i)
-    svc.insert(rng.next_bounded(20), 20 + rng.next_bounded(20),
-               0.1 + 0.4 * rng.next_double());
+    ledger.insert(svc, rng.next_bounded(20), 20 + rng.next_bounded(20),
+                  0.1 + 0.4 * rng.next_double());
   svc.flush();
+}
+
+void seed_two_shards(SldService& svc, par::Rng& rng) {
+  test::EdgeLedger ledger;
+  seed_two_shards(svc, rng, ledger);
 }
 
 /// QueryErrorCode of the error a future resolves with; fails the test
@@ -64,13 +71,11 @@ TEST(QueryBroker, SubmitMatchesPinnedViewAnswers) {
   ServiceConfig cfg;
   cfg.num_vertices = 40;
   cfg.num_shards = 2;
-  cfg.capture_edges = true;
   SldService svc(cfg);
   par::Rng rng = test::test_rng();
   seed_two_shards(svc, rng);
 
   auto snap = svc.snapshot();
-  ClusterView view(snap);
   for (double tau : {0.2, 0.6}) {
     QueryRequest req;
     auto [s, t] = test::random_distinct_pair(rng, 40);
@@ -79,7 +84,7 @@ TEST(QueryBroker, SubmitMatchesPinnedViewAnswers) {
                    NumClustersQuery{tau},       ClusterReportQuery{t, tau}};
     ResultSet rs = svc.submit(std::move(req)).get();
     ASSERT_EQ(rs.epoch, snap->epoch());
-    auto tv = view.at(tau);
+    auto tv = std::make_shared<const ThresholdView>(snap, tau);
     EXPECT_EQ(std::get<bool>(rs.results[0]), tv->same_cluster(s, t));
     EXPECT_EQ(std::get<uint64_t>(rs.results[1]), tv->cluster_size(s));
     EXPECT_EQ(std::get<std::vector<vertex_id>>(rs.results[2]),
@@ -270,8 +275,8 @@ TEST(QueryBroker, CrossClientGroupingSharesOneResolution) {
   for (int i = 0; i < 8; ++i)
     reqs[i].queries = {ClusterSizeQuery{static_cast<vertex_id>(i), tau}};
   auto futs = svc.submit_batch(std::move(reqs));
-  ClusterView view = svc.view();  // same epoch: no flush in between
-  auto tv = view.at(tau);
+  // Same epoch: no flush in between.
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
   for (int i = 0; i < 8; ++i) {
     ResultSet rs = futs[i].get();
     ASSERT_EQ(rs.results.size(), 1u);
@@ -282,10 +287,8 @@ TEST(QueryBroker, CrossClientGroupingSharesOneResolution) {
   EXPECT_EQ(after.broker_batches - before.broker_batches, 1u);
   EXPECT_EQ(after.broker_groups - before.broker_groups, 1u);
   EXPECT_EQ(after.broker_group_requests - before.broker_group_requests, 8u);
-  // One resolution for the whole fleet (the view.at above may add one
-  // more, built after the counters were re-read — exclude it by order).
-  EXPECT_EQ(after.views_built - before.views_built -
-                /*our explicit view.at*/ 1u,
+  // One resolution for the whole fleet, plus the explicit view above.
+  EXPECT_EQ(after.views_built - before.views_built - /*explicit view*/ 1u,
             1u);
 }
 
@@ -332,9 +335,9 @@ TEST(QueryBroker, PublishDoesNoViewWork) {
     svc.flush();
   }
   // Every cycle that saw the publishes has finished: an eager refresh
-  // would have moved the counters by now. (At most about ten cycles
-  // have passed, well inside the broker's idle-eviction horizon, so the
-  // view is still cached.)
+  // would have moved the counters by now. (Five epochs have passed,
+  // well inside the broker's idle-eviction horizon, so the view is
+  // still cached.)
   settle_dispatcher(svc);
   auto idle = svc.stats();
   EXPECT_EQ(idle.epochs_published - before.epochs_published, 5u);
@@ -359,6 +362,97 @@ TEST(QueryBroker, PublishDoesNoViewWork) {
             fresh.flat_clustering());
   EXPECT_EQ(std::get<SizeHistogram>(rs.results[1]), fresh.size_histogram());
   EXPECT_EQ(std::get<uint64_t>(rs.results[2]), fresh.num_clusters());
+}
+
+/// The standing cache ages by epochs, not by dispatch cycles: requests
+/// that publish nothing — here 20 empty AsOf barriers, one cycle each —
+/// never evict a cached view, so the next query at its tau reuses it.
+TEST(QueryBroker, CacheAgesByEpochsNotCycles) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+
+  auto ask = [&] {
+    QueryRequest req;
+    req.queries = {ClusterSizeQuery{0, 0.6}};
+    return svc.submit(std::move(req)).get();
+  };
+  ask();  // resolves the view at tau and caches it
+  const uint64_t epoch = svc.epoch();
+  for (int i = 0; i < 20; ++i) {  // barrier-only cycles, nothing published
+    QueryRequest req;
+    req.consistency = AsOf{epoch};
+    EXPECT_EQ(svc.submit(std::move(req)).get().epoch, epoch);
+  }
+  const auto before = svc.stats();
+  EXPECT_EQ(ask().epoch, epoch);
+  EXPECT_EQ(svc.stats().views_built, before.views_built);
+}
+
+/// A publish with nothing queued or parked runs no dispatch cycle: no
+/// snapshot acquire, no broker.cycle sample, no batch.
+TEST(QueryBroker, IdlePublishRunsNoCycle) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  for (vertex_id e = 0; e < 20; ++e) {
+    svc.insert(e, e + 1, 0.5);
+    svc.flush();
+  }
+  ASSERT_EQ(svc.epoch(), 20u);
+  // Publish signals are handled asynchronously; a cycle would record its
+  // sample within microseconds, so this leaves ample time for one.
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(svc.obs().broker_cycle->snapshot().count, 0u);
+  EXPECT_EQ(svc.stats().broker_batches, 0u);
+}
+
+/// Aging still runs on those idle publish wakes. With no retention ring
+/// a cached view is the last holder of its epoch's snapshot, and it lets
+/// go once the view is more than 16 epochs behind — after 17 unqueried
+/// publishes, with no query to start a cycle.
+TEST(QueryBroker, IdlePublishesReleaseIdleViewEpochs) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  cfg.retain_epochs = 0;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+
+  const double tau = 0.6;
+  auto ask = [&] {
+    QueryRequest req;
+    req.queries = {ClusterSizeQuery{0, tau}};
+    return svc.submit(std::move(req)).get();
+  };
+  std::weak_ptr<const EngineSnapshot> cached_epoch = svc.snapshot();
+  ASSERT_EQ(ask().epoch, svc.epoch());
+  settle_dispatcher(svc);  // the query's cycle has cached its view
+
+  // Cross edges above tau: a refresh of the cached view would reuse its
+  // resolution, so only an eviction makes the next query build a view.
+  auto publish = [&](int epochs) {
+    for (int i = 0; i < epochs; ++i) {
+      svc.insert(static_cast<vertex_id>(i), 39, 0.9);
+      svc.flush();
+    }
+  };
+  publish(16);
+  std::this_thread::sleep_for(5ms);
+  EXPECT_FALSE(cached_epoch.expired());  // 16 behind: still cached
+  publish(1);
+  for (int i = 0; i < 5000 && !cached_epoch.expired(); ++i)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_TRUE(cached_epoch.expired());
+
+  const auto before = svc.stats();
+  ask();
+  EXPECT_EQ(svc.stats().views_built - before.views_built, 1u);
 }
 
 /// Pinned consistency answers against the exact pinned snapshot even
@@ -417,14 +511,13 @@ TEST(QueryBroker, SyncWrappersRouteThroughBroker) {
   ServiceConfig cfg;
   cfg.num_vertices = 40;
   cfg.num_shards = 2;
-  cfg.capture_edges = true;
   SldService svc(cfg);
   par::Rng rng = test::test_rng();
-  seed_two_shards(svc, rng);
+  test::EdgeLedger ledger;
+  seed_two_shards(svc, rng, ledger);
 
-  auto snap = svc.snapshot();
   const double tau = 0.6;
-  auto ref = test::reference_labels(40, snap->captured_edges(), tau);
+  auto ref = test::reference_labels(40, ledger.edges(), tau);
   for (int q = 0; q < 10; ++q) {
     auto [s, t] = test::random_distinct_pair(rng, 40);
     EXPECT_EQ(svc.same_cluster(s, t, tau), ref[s] == ref[t]);
@@ -444,36 +537,33 @@ TEST(QueryBroker, NumClustersMatchesHistogramReassembly) {
   ServiceConfig cfg;
   cfg.num_vertices = 50;
   cfg.num_shards = 4;  // stride 13: uneven last shard
-  cfg.capture_edges = true;
   SldService svc(cfg);
+  test::EdgeLedger ledger;
   par::Rng rng = test::test_rng();
 
-  {  // epoch 0: every vertex a singleton
-    auto tv = svc.view().at(0.5);
-    EXPECT_EQ(tv->num_clusters(), 50u);
-  }
+  // epoch 0: every vertex a singleton
+  EXPECT_EQ(ThresholdView(svc.snapshot(), 0.5).num_clusters(), 50u);
 
   std::vector<ticket_t> live;
   for (int step = 0; step < 300; ++step) {
     if (!live.empty() && rng.next_double() < 0.3) {
       size_t j = rng.next_bounded(live.size());
-      svc.erase(live[j]);
+      ledger.erase(svc, live[j]);
       live[j] = live.back();
       live.pop_back();
     } else {
       auto [u, v] = test::random_distinct_pair(rng, 50);
-      live.push_back(svc.insert(u, v, rng.next_double()));
+      live.push_back(ledger.insert(svc, u, v, rng.next_double()));
     }
     if (step % 75 != 74) continue;
     svc.flush();
     auto snap = svc.snapshot();
-    ClusterView view(snap);
     for (double tau : {0.0, 0.15, 0.4, 0.7, 1.0}) {
-      auto tv = view.at(tau);
-      auto ref = test::reference_labels(50, snap->captured_edges(), tau);
+      ThresholdView tv(snap, tau);
+      auto ref = test::reference_labels(50, ledger.edges(), tau);
       uint64_t expected = test::ref_histogram(ref).num_clusters();
-      EXPECT_EQ(tv->num_clusters(), expected) << "tau=" << tau;
-      EXPECT_EQ(tv->size_histogram().num_clusters(), expected);
+      EXPECT_EQ(tv.num_clusters(), expected) << "tau=" << tau;
+      EXPECT_EQ(tv.size_histogram().num_clusters(), expected);
       // And through the typed query + the broker.
       QueryRequest req;
       req.queries = {NumClustersQuery{tau}};

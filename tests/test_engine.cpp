@@ -1,14 +1,17 @@
 // Engine tests: epoch snapshots, update coalescing, sharded routing,
 // and the concurrent-reader stress test. The ground truth throughout is
-// the static Kruskal construction (build_kruskal) over an epoch's
-// captured edge set: single-linkage clusters at threshold tau are the
-// connected components of the sub-tau edges, so partitions derived from
-// the reference dendrogram must match every engine answer exactly.
+// the static Kruskal construction (build_kruskal) over an epoch's live
+// edge set, as the test's EdgeLedger records it: single-linkage
+// clusters at threshold tau are the connected components of the sub-tau
+// edges, so partitions derived from the reference dendrogram must match
+// every engine answer exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,7 @@ namespace {
 
 // Kruskal-reference oracles shared with the fuzz harness
 // (test_fuzz_engine.cpp) live in test_util.hpp.
+using test::EdgeLedger;
 using test::expect_same_partition;
 using test::ref_cluster_size;
 using test::ref_histogram;
@@ -258,14 +262,14 @@ TEST(SldService, MatchesReferenceAcrossEpochs) {
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 1;
-  cfg.capture_edges = true;
   SldService svc(cfg);
+  EdgeLedger ledger;
   par::Rng rng(2025);
   std::vector<ticket_t> live;
   for (int step = 0; step < 400; ++step) {
     if (!live.empty() && rng.next_double() < 0.3) {
       size_t j = rng.next_bounded(live.size());
-      svc.erase(live[j]);
+      ledger.erase(svc, live[j]);
       live[j] = live.back();
       live.pop_back();
     } else {
@@ -273,14 +277,14 @@ TEST(SldService, MatchesReferenceAcrossEpochs) {
       do {
         v = rng.next_bounded(n);
       } while (v == u);
-      live.push_back(svc.insert(u, v, rng.next_double()));
+      live.push_back(ledger.insert(svc, u, v, rng.next_double()));
     }
     if (rng.next_double() < 0.15) {
       svc.flush();
       auto snap = svc.snapshot();
       for (double tau : {0.1, 0.35, 0.7}) {
         ThresholdView tv(snap, tau);
-        auto ref = reference_labels(n, snap->captured_edges(), tau);
+        auto ref = reference_labels(n, ledger.edges(), tau);
         expect_same_partition(ref, tv.flat_clustering());
         for (int q = 0; q < 30; ++q) {
           vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
@@ -299,15 +303,15 @@ TEST(SldService, ShardedMatchesReference) {
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 3;
-  cfg.capture_edges = true;
   SldService svc(cfg);
+  EdgeLedger ledger;
   EXPECT_EQ(svc.num_shards(), 3);
   par::Rng rng(99);
   std::vector<ticket_t> live;
   for (int step = 0; step < 500; ++step) {
     if (!live.empty() && rng.next_double() < 0.3) {
       size_t j = rng.next_bounded(live.size());
-      svc.erase(live[j]);
+      ledger.erase(svc, live[j]);
       live[j] = live.back();
       live.pop_back();
     } else {
@@ -323,14 +327,14 @@ TEST(SldService, ShardedMatchesReference) {
           v = rng.next_bounded(n);
         } while (v == u);
       }
-      live.push_back(svc.insert(u, v, rng.next_double()));
+      live.push_back(ledger.insert(svc, u, v, rng.next_double()));
     }
     if (step % 40 == 39) {
       svc.flush();
       auto snap = svc.snapshot();
       for (double tau : {0.15, 0.5, 0.9}) {
         ThresholdView tv(snap, tau);
-        auto ref = reference_labels(n, snap->captured_edges(), tau);
+        auto ref = reference_labels(n, ledger.edges(), tau);
         expect_same_partition(ref, tv.flat_clustering());
         for (int q = 0; q < 40; ++q) {
           vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
@@ -385,17 +389,29 @@ TEST(SldService, CoalescedChurnNeverReachesShards) {
 /// The acceptance stress test: N reader threads issue threshold /
 /// cluster-size / flat-clustering queries against epoch snapshots while
 /// a writer streams coalesced batches through flush(); every answer is
-/// checked against the Kruskal reference of that epoch's captured edge
-/// set. Snapshot consistency means a reader's answers agree with the
-/// reference even when many epochs are published mid-query-loop.
+/// checked against the Kruskal reference of that epoch's live edge set,
+/// which the writer records before each flush. Snapshot consistency
+/// means a reader's answers agree with the reference even when many
+/// epochs are published mid-query-loop.
 TEST(SldService, StressReadersVsWriterMatchKruskalReference) {
   const vertex_id n = 80;
   const int kReaders = 4;
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 2;
-  cfg.capture_edges = true;
   SldService svc(cfg);
+
+  // Epoch -> its live edge set. The writer is the only flusher, so the
+  // set it records under epoch() + 1 is the one the next flush
+  // publishes, and it is in the map before any reader can see the epoch.
+  using EdgeSet = std::shared_ptr<const std::vector<WeightedEdge>>;
+  std::mutex edges_mu;
+  std::map<uint64_t, EdgeSet> edges_at;
+  edges_at[0] = std::make_shared<const std::vector<WeightedEdge>>();
+  auto edges_of = [&](uint64_t epoch) {
+    std::lock_guard<std::mutex> lk(edges_mu);
+    return edges_at.at(epoch);
+  };
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> checks{0};
@@ -411,7 +427,7 @@ TEST(SldService, StressReadersVsWriterMatchKruskalReference) {
         ThresholdView tv(snap, tau);
         auto& ref = cache[snap->epoch()][tau];
         if (ref.empty())
-          ref = reference_labels(n, snap->captured_edges(), tau);
+          ref = reference_labels(n, *edges_of(snap->epoch()), tau);
         vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
         ASSERT_EQ(tv.same_cluster(s, t), ref[s] == ref[t])
             << "epoch " << snap->epoch() << " tau " << tau;
@@ -425,13 +441,14 @@ TEST(SldService, StressReadersVsWriterMatchKruskalReference) {
 
   // Writer: streaming churn in batches.
   par::Rng rng(4321);
+  EdgeLedger ledger;
   std::vector<ticket_t> live;
   uint64_t epochs = 0;
   for (int batch = 0; batch < 60; ++batch) {
     for (int i = 0; i < 12; ++i) {
       if (!live.empty() && rng.next_double() < 0.35) {
         size_t j = rng.next_bounded(live.size());
-        svc.erase(live[j]);
+        ledger.erase(svc, live[j]);
         live[j] = live.back();
         live.pop_back();
       } else {
@@ -439,8 +456,13 @@ TEST(SldService, StressReadersVsWriterMatchKruskalReference) {
         do {
           v = rng.next_bounded(n);
         } while (v == u);
-        live.push_back(svc.insert(u, v, rng.next_double()));
+        live.push_back(ledger.insert(svc, u, v, rng.next_double()));
       }
+    }
+    {
+      std::lock_guard<std::mutex> lk(edges_mu);
+      edges_at[svc.epoch() + 1] =
+          std::make_shared<const std::vector<WeightedEdge>>(ledger.edges());
     }
     epochs = svc.flush();
     if (batch % 10 == 0) std::this_thread::yield();
@@ -456,23 +478,24 @@ TEST(SldService, StressReadersVsWriterMatchKruskalReference) {
   EXPECT_GE(r.epochs_published, 60u);
 }
 
-/// Randomized typed query batches on a multi-shard service, including
-/// duplicate-tau grouping, cross-checked against the per-epoch Kruskal
-/// reference. Vertex n-1 stays edge-free so singleton clusters are
-/// always part of the mix.
-TEST(ClusterView, BatchMatchesReferenceOnShardedService) {
+/// Randomized typed query batches on a multi-shard service, submitted
+/// pinned to the epoch just published, including duplicate-tau
+/// grouping, cross-checked against the per-epoch Kruskal reference.
+/// Vertex n-1 stays edge-free so singleton clusters are always part of
+/// the mix.
+TEST(PinnedBatch, MatchesReferenceOnShardedService) {
   const vertex_id n = 61;  // vertex 60 never touched: permanent singleton
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 3;
-  cfg.capture_edges = true;
   SldService svc(cfg);
+  EdgeLedger ledger;
   par::Rng rng(314);
   std::vector<ticket_t> live;
   for (int step = 0; step < 360; ++step) {
     if (!live.empty() && rng.next_double() < 0.3) {
       size_t j = rng.next_bounded(live.size());
-      svc.erase(live[j]);
+      ledger.erase(svc, live[j]);
       live[j] = live.back();
       live.pop_back();
     } else {
@@ -480,19 +503,19 @@ TEST(ClusterView, BatchMatchesReferenceOnShardedService) {
       do {
         v = rng.next_bounded(n - 1);
       } while (v == u);
-      live.push_back(svc.insert(u, v, rng.next_double()));
+      live.push_back(ledger.insert(svc, u, v, rng.next_double()));
     }
     if (step % 60 != 59) continue;
     svc.flush();
-    ClusterView view = svc.view();
-    const auto& captured = view.snapshot().captured_edges();
+    auto snap = svc.snapshot();
+    const std::vector<WeightedEdge> edges = ledger.edges();
 
     // Mixed batch over duplicate taus (three distinct thresholds).
     const std::vector<double> taus = {0.25, 0.6, 0.6, 0.9, 0.25, 0.6};
     std::vector<Query> batch;
     std::map<double, std::vector<vertex_id>> ref;
     for (double tau : taus) {
-      if (!ref.count(tau)) ref[tau] = reference_labels(n, captured, tau);
+      if (!ref.count(tau)) ref[tau] = reference_labels(n, edges, tau);
       vertex_id u = rng.next_bounded(n), v = rng.next_bounded(n);
       batch.push_back(SameClusterQuery{u, v, tau});
       batch.push_back(ClusterSizeQuery{u, tau});
@@ -501,11 +524,23 @@ TEST(ClusterView, BatchMatchesReferenceOnShardedService) {
       batch.push_back(FlatClusteringQuery{tau});
       batch.push_back(SizeHistogramQuery{tau});
     }
-    uint64_t views_before = svc.stats().views_built;
-    std::vector<QueryResult> results = view.run(batch);
     // Duplicate taus share one resolution: three distinct thresholds,
-    // three ThresholdView builds.
-    EXPECT_EQ(svc.stats().views_built - views_before, 3u);
+    // three groups, each resolved once — built fresh or refreshed from
+    // the broker's cached view of an earlier epoch.
+    auto resolutions = [](const EngineStats::Report& r) {
+      return r.views_built + r.refresh_views_reused +
+             r.refresh_views_incremental;
+    };
+    QueryRequest req;
+    req.queries = batch;
+    req.consistency = Pinned{snap};
+    const auto before = svc.stats();
+    ResultSet rs = svc.submit(std::move(req)).get();
+    const auto after = svc.stats();
+    EXPECT_EQ(rs.epoch, snap->epoch());
+    EXPECT_EQ(after.broker_groups - before.broker_groups, 3u);
+    EXPECT_EQ(resolutions(after) - resolutions(before), 3u);
+    const std::vector<QueryResult>& results = rs.results;
 
     ASSERT_EQ(results.size(), batch.size());
     size_t i = 0;
@@ -540,12 +575,12 @@ TEST(ClusterView, BatchMatchesReferenceOnShardedService) {
     }
   }
   EXPECT_GT(svc.stats().cross_ops, 0u);
-  EXPECT_GT(svc.stats().batch_runs, 0u);
+  EXPECT_GT(svc.stats().broker_batches, 0u);
 }
 
 /// Acceptance: N mixed queries at one tau through a ThresholdView cost
-/// exactly one cross-shard union-find build, and at() memoizes.
-TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
+/// exactly one cross-shard union-find build.
+TEST(ThresholdView, ResolvesCrossMergeOnce) {
   const vertex_id n = 40;  // 2 shards, stride 20
   ServiceConfig cfg;
   cfg.num_vertices = n;
@@ -565,9 +600,8 @@ TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
                0.1 + 0.4 * rng.next_double());
   svc.flush();
 
-  ClusterView view = svc.view();
   uint64_t uf_before = svc.stats().cross_uf_builds;
-  auto tv = view.at(0.6);
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), 0.6);
   for (int q = 0; q < 200; ++q) {
     vertex_id u = rng.next_bounded(n), v = rng.next_bounded(n);
     tv->same_cluster(u, v);
@@ -578,8 +612,11 @@ TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
     }
   }
   EXPECT_EQ(svc.stats().cross_uf_builds - uf_before, 1u);
-  EXPECT_GT(tv->num_cross_groups(), 0u);
-  EXPECT_EQ(view.at(0.6).get(), tv.get());  // memoized, same resolution
+  // The resolution merges across shards: some cluster spans both.
+  bool spans = false;
+  for (vertex_id u = 0; u < 20 && !spans; ++u)
+    for (vertex_id v = 20; v < 40 && !spans; ++v) spans = tv->same_cluster(u, v);
+  EXPECT_TRUE(spans);
 
   // One view per call pays one resolution per call — the view plane's
   // amortization is real, not bookkeeping.
@@ -590,17 +627,16 @@ TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
   EXPECT_EQ(svc.stats().cross_uf_builds - uf_before, 2u);
 }
 
-/// Epoch-0 views: everything is a singleton; the batch API still
-/// answers coherently (empty service, no cross edges, no tree edges).
-TEST(ClusterView, EpochZeroAllSingletons) {
+/// Epoch-0 views: everything is a singleton; the view still answers
+/// coherently (empty service, no cross edges, no tree edges).
+TEST(ThresholdView, EpochZeroAllSingletons) {
   const vertex_id n = 12;
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 4;
   SldService svc(cfg);
-  ClusterView view = svc.view();
-  EXPECT_EQ(view.epoch(), 0u);
-  auto tv = view.at(0.5);
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), 0.5);
+  EXPECT_EQ(tv->epoch(), 0u);
   EXPECT_TRUE(tv->same_cluster(3, 3));
   EXPECT_FALSE(tv->same_cluster(3, 4));
   EXPECT_EQ(tv->cluster_size(7), 1u);
@@ -665,15 +701,15 @@ TEST(SldService, ShardLocalSpacesUnevenRanges) {
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 4;  // stride 13: ranges 13, 13, 13, 11
-  cfg.capture_edges = true;
   SldService svc(cfg);
+  EdgeLedger ledger;
   par::Rng rng(424);
   for (int i = 0; i < 220; ++i) {
     vertex_id u = rng.next_bounded(n), v;
     do {
       v = rng.next_bounded(n);
     } while (v == u);
-    svc.insert(u, v, rng.next_double());
+    ledger.insert(svc, u, v, rng.next_double());
   }
   svc.flush();
   auto snap = svc.snapshot();
@@ -685,7 +721,7 @@ TEST(SldService, ShardLocalSpacesUnevenRanges) {
   EXPECT_EQ(snap->shard(3).num_vertices(), 11u);
   for (double tau : {0.2, 0.55, 0.85}) {
     ThresholdView tv(snap, tau);
-    auto ref = reference_labels(n, snap->captured_edges(), tau);
+    auto ref = reference_labels(n, ledger.edges(), tau);
     expect_same_partition(ref, tv.flat_clustering());
     for (int q = 0; q < 60; ++q) {
       vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
@@ -730,17 +766,17 @@ namespace {
 /// Seed an 8-shard service (stride 8) with intra edges in every shard
 /// plus sub-tau cross edges whose endpoints span all shards, so a
 /// refresh at tau exercises the incremental path.
-void seed_eight_shards(SldService& svc, par::Rng& rng) {
+void seed_eight_shards(SldService& svc, EdgeLedger& ledger, par::Rng& rng) {
   for (int k = 0; k < 8; ++k) {
     for (int i = 0; i < 14; ++i) {
       auto [u, v] = test::random_block_pair(rng, static_cast<vertex_id>(k) * 8, 8);
-      svc.insert(u, v, rng.next_double() * 0.5);
+      ledger.insert(svc, u, v, rng.next_double() * 0.5);
     }
   }
   for (int k = 0; k < 8; ++k) {  // one sub-tau cross endpoint per shard
     vertex_id u = static_cast<vertex_id>(k) * 8 + rng.next_bounded(8);
     vertex_id v = static_cast<vertex_id>((k + 3) % 8) * 8 + rng.next_bounded(8);
-    svc.insert(u, v, 0.1 + 0.3 * rng.next_double());
+    ledger.insert(svc, u, v, 0.1 + 0.3 * rng.next_double());
   }
   svc.flush();
 }
@@ -755,10 +791,10 @@ TEST(ThresholdViewRefresh, HotShardRefreshReusesCleanShards) {
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 8;
-  cfg.capture_edges = true;
   SldService svc(cfg);
+  EdgeLedger ledger;
   par::Rng rng = test::test_rng();
-  seed_eight_shards(svc, rng);
+  seed_eight_shards(svc, ledger, rng);
 
   const double tau = 0.6;
   // Initial full resolution.
@@ -768,7 +804,7 @@ TEST(ThresholdViewRefresh, HotShardRefreshReusesCleanShards) {
     // Churn confined to shard 0: intra edges over vertices [0, 8).
     for (int i = 0; i < 10; ++i) {
       auto [u, v] = test::random_block_pair(rng, 0, 8);
-      svc.insert(u, v, rng.next_double());
+      ledger.insert(svc, u, v, rng.next_double());
     }
     svc.flush();
     auto snap = svc.snapshot();
@@ -795,10 +831,10 @@ TEST(ThresholdViewRefresh, HotShardRefreshReusesCleanShards) {
     // Bit-for-bit against a freshly resolved view, and against the
     // Kruskal oracle.
     ASSERT_EQ(tv->epoch(), snap->epoch());
-    auto fresh = ClusterView(snap).at(tau);
-    EXPECT_EQ(tv->flat_clustering(), fresh->flat_clustering());
-    EXPECT_EQ(tv->size_histogram(), fresh->size_histogram());
-    auto ref = reference_labels(n, snap->captured_edges(), tau);
+    ThresholdView fresh(snap, tau);
+    EXPECT_EQ(tv->flat_clustering(), fresh.flat_clustering());
+    EXPECT_EQ(tv->size_histogram(), fresh.size_histogram());
+    auto ref = reference_labels(n, ledger.edges(), tau);
     expect_same_partition(ref, tv->flat_clustering());
     for (int q = 0; q < 40; ++q) {
       auto [s, t] = test::random_distinct_pair(rng, n);
@@ -816,17 +852,17 @@ TEST(ThresholdViewRefresh, CrossDeltaGatesFullResolve) {
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 8;
-  cfg.capture_edges = true;
   SldService svc(cfg);
+  EdgeLedger ledger;
   par::Rng rng = test::test_rng();
-  seed_eight_shards(svc, rng);
+  seed_eight_shards(svc, ledger, rng);
 
   const double tau = 0.6;
   auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
 
   // A cross edge above tau: the delta's cross_min_w exceeds tau, so the
   // resolution survives (no full rebuild).
-  svc.insert(2, 50, 0.9);
+  ledger.insert(svc, 2, 50, 0.9);
   svc.flush();
   EXPECT_GT(svc.snapshot()->delta().cross_min_w, tau);
   auto before = svc.stats();
@@ -839,7 +875,7 @@ TEST(ThresholdViewRefresh, CrossDeltaGatesFullResolve) {
             1u);
 
   // A cross edge below tau changes the prefix: full re-resolve.
-  svc.insert(3, 40, 0.2);
+  ledger.insert(svc, 3, 40, 0.2);
   svc.flush();
   before = svc.stats();
   tv = ThresholdView::refreshed(tv, svc.snapshot());
@@ -849,9 +885,9 @@ TEST(ThresholdViewRefresh, CrossDeltaGatesFullResolve) {
   // Either way the refreshed view matches a fresh one exactly.
   auto snap = svc.snapshot();
   ASSERT_EQ(tv->epoch(), snap->epoch());
-  auto fresh = ClusterView(snap).at(tau);
-  EXPECT_EQ(tv->flat_clustering(), fresh->flat_clustering());
-  auto ref = reference_labels(n, snap->captured_edges(), tau);
+  ThresholdView fresh(snap, tau);
+  EXPECT_EQ(tv->flat_clustering(), fresh.flat_clustering());
+  auto ref = reference_labels(n, ledger.edges(), tau);
   expect_same_partition(ref, tv->flat_clustering());
 }
 
@@ -892,13 +928,12 @@ TEST(SldService, LatestReadsFollowPublishedEpochs) {
 
 /// Replay driver smoke test: the sliding-window trace ends with the
 /// same clustering whether driven through the service or re-derived
-/// from the captured edge set.
+/// from the trace's surviving edges.
 TEST(Replay, SlidingWindowTraceMatchesReference) {
   Trace tr = Trace::sliding_window(/*window=*/40, /*steps=*/4, /*per_step=*/10,
                                    /*connect_radius=*/0.8, /*seed=*/11);
   ServiceConfig cfg;
   cfg.num_vertices = tr.num_vertices;
-  cfg.capture_edges = true;
   SldService svc(cfg);
   ReplayOptions opt;
   opt.reader_threads = 2;
@@ -907,8 +942,18 @@ TEST(Replay, SlidingWindowTraceMatchesReference) {
   ReplayReport rep = replay(tr, svc, opt);
   EXPECT_EQ(rep.ops_applied, tr.ops.size());
   EXPECT_GT(rep.epochs_published, 0u);
+  // The trace's own bookkeeping, ticketed by op index: an erase names
+  // the insert op it kills.
+  EdgeLedger ledger;
+  for (size_t i = 0; i < tr.ops.size(); ++i) {
+    const TraceOp& op = tr.ops[i];
+    if (op.kind == TraceOp::kInsert)
+      ledger.insert(i, op.u, op.v, op.w);
+    else
+      ledger.erase(op.ref);
+  }
   auto snap = svc.snapshot();
-  auto ref = reference_labels(tr.num_vertices, snap->captured_edges(), 0.35);
+  auto ref = reference_labels(tr.num_vertices, ledger.edges(), 0.35);
   expect_same_partition(ref, ThresholdView(snap, 0.35).flat_clustering());
 }
 

@@ -18,9 +18,9 @@
 //      ThresholdView::run. The chain advances only on a seeded random
 //      half of the epochs, so one refresh often spans several epochs —
 //      the shape the broker's on-demand refresh produces;
-//   2. both match the Kruskal reference partition of the epoch's
-//      captured edge set (partition equality, sampled pair/size/report
-//      queries);
+//   2. both match the Kruskal reference partition of the epoch's live
+//      edge set, as the schedule's EdgeLedger records it (partition
+//      equality, sampled pair/size/report queries);
 //   3. refresh bookkeeping: an advanced chain serves exactly the
 //      published epoch;
 //   4. the same queries submitted through the broker answer like the
@@ -54,6 +54,7 @@
 namespace dynsld::engine {
 namespace {
 
+using test::EdgeLedger;
 using test::expect_same_partition;
 using test::ref_cluster_size;
 using test::ref_histogram;
@@ -109,8 +110,8 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
   ServiceConfig cfg;
   cfg.num_vertices = sc.n;
   cfg.num_shards = sc.shards;
-  cfg.capture_edges = true;
   SldService svc(cfg);
+  EdgeLedger ledger;
   // Twin baseline: identical traffic with incremental snapshots OFF, so
   // every dirty shard rebuilds from scratch. Whatever the patching
   // builder produced for an epoch must match the twin's arrays
@@ -158,10 +159,10 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
     if (!live.empty() && rng.next_double() < sc.erase_prob) {
       size_t j = rng.next_bounded(live.size());
       if (rng.next_double() < 0.5) {
-        svc.erase(live[j].ticket);
+        ledger.erase(svc, live[j].ticket);
         baseline.erase(live[j].ticket);  // tickets align: same inserts
       } else {
-        EXPECT_TRUE(svc.erase(live[j].u, live[j].v));
+        EXPECT_TRUE(ledger.erase(svc, live[j].u, live[j].v));
         EXPECT_TRUE(baseline.erase(live[j].u, live[j].v));
       }
       live[j] = live.back();
@@ -169,7 +170,7 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
     } else {
       auto [u, v] = pick_insert();
       double w = rng.next_double();
-      live.push_back(LiveEdge{svc.insert(u, v, w), u, v});
+      live.push_back(LiveEdge{ledger.insert(svc, u, v, w), u, v});
       baseline.insert(u, v, w);
     }
     if (step % sc.flush_every != sc.flush_every - 1) continue;
@@ -194,13 +195,17 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
       }
     }
 
-    ClusterView fresh_view(snap);
+    // One freshly resolved view per threshold of this epoch.
+    std::vector<std::shared_ptr<const ThresholdView>> fresh_views;
+    for (double tau : taus)
+      fresh_views.push_back(std::make_shared<const ThresholdView>(snap, tau));
+    const std::vector<WeightedEdge> edges = ledger.edges();
     for (size_t ti = 0; ti < std::size(taus); ++ti) {
       const double tau = taus[ti];
       SCOPED_TRACE("epoch=" + std::to_string(epoch) +
                    " tau=" + std::to_string(tau) +
                    " chain_epoch=" + std::to_string(chain[ti]->epoch()));
-      auto fresh = fresh_view.at(tau);
+      auto fresh = fresh_views[ti];
       // On epochs the chain skips, the fresh view stands in for it, so
       // the oracle checks below run on every epoch either way.
       auto tv = fresh;
@@ -220,7 +225,7 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
                   fresh->size_histogram());
       }
       // (2) Both == the Kruskal oracle.
-      auto ref = reference_labels(sc.n, snap->captured_edges(), tau);
+      auto ref = reference_labels(sc.n, edges, tau);
       expect_same_partition(ref, tv->flat_clustering());
       // Canonical-label invariants the patch machinery relies on: a
       // label names a member of its own cluster and is idempotent.
@@ -275,7 +280,10 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
       ASSERT_EQ(rs.results.size(), slice.size());
       for (size_t i = 0; i < slice.size(); ++i) {
         SCOPED_TRACE("submit slice i=" + std::to_string(i));
-        QueryResult direct = fresh_view.at(query_tau(slice[i]))->run(slice[i]);
+        const size_t ti =
+            std::find(std::begin(taus), std::end(taus), query_tau(slice[i])) -
+            std::begin(taus);
+        QueryResult direct = fresh_views[ti]->run(slice[i]);
         if (std::holds_alternative<ClusterReportQuery>(slice[i])) {
           auto got = std::get<std::vector<vertex_id>>(rs.results[i]);
           auto want = std::get<std::vector<vertex_id>>(direct);
@@ -380,9 +388,9 @@ TEST(FuzzEngine, FlatLabelPatchCountersUnderSkewedChurn) {
     }
     svc.flush();
     tv = ThresholdView::refreshed(tv, svc.snapshot());
-    ClusterView fresh(svc.snapshot());
-    ASSERT_EQ(tv->flat_clustering(), fresh.at(tau)->flat_clustering());
-    ASSERT_EQ(tv->size_histogram(), fresh.at(tau)->size_histogram());
+    ThresholdView fresh(svc.snapshot(), tau);
+    ASSERT_EQ(tv->flat_clustering(), fresh.flat_clustering());
+    ASSERT_EQ(tv->size_histogram(), fresh.size_histogram());
   }
   auto r = svc.stats();
   EXPECT_EQ(r.labels_patched, static_cast<uint64_t>(rounds));
@@ -465,10 +473,9 @@ TEST(FuzzEngine, ConcurrentSubmitVsPublish) {
   for (double tau : taus) req.queries.push_back(FlatClusteringQuery{tau});
   ResultSet rs = svc.submit(std::move(req)).get();
   ASSERT_EQ(rs.epoch, snap->epoch());
-  ClusterView fresh(snap);
   for (size_t i = 0; i < std::size(taus); ++i)
     ASSERT_EQ(std::get<std::vector<vertex_id>>(rs.results[i]),
-              fresh.at(taus[i])->flat_clustering());
+              ThresholdView(snap, taus[i]).flat_clustering());
   EXPECT_GT(svc.stats().refresh_views_reused +
                 svc.stats().refresh_views_incremental +
                 svc.stats().refresh_views_full,
@@ -499,7 +506,6 @@ TEST(FuzzEngine, RecoverAndDiffReplaysSchedulesBitForBit) {
       ServiceConfig cfg;
       cfg.num_vertices = sc.n;
       cfg.num_shards = sc.shards;
-      cfg.capture_edges = true;
       cfg.retain_epochs = 256;  // recovered ring holds the whole replay
       cfg.persist.dir = dir.string();
       cfg.persist.checkpoint_every = 3;
@@ -546,9 +552,8 @@ TEST(FuzzEngine, RecoverAndDiffReplaysSchedulesBitForBit) {
           uint64_t e = svc.flush();
           if (e == before) continue;  // empty batch: no epoch published
           auto snap = svc.snapshot();
-          ClusterView view(snap);
-          fps[e] = {view.at(taus[0])->flat_clustering(),
-                    view.at(taus[1])->flat_clustering()};
+          fps[e] = {ThresholdView(snap, taus[0]).flat_clustering(),
+                    ThresholdView(snap, taus[1]).flat_clustering()};
         }
       }  // destructor = clean shutdown; the directory is the survivor
 
@@ -561,9 +566,8 @@ TEST(FuzzEngine, RecoverAndDiffReplaysSchedulesBitForBit) {
         SCOPED_TRACE("epoch=" + std::to_string(e));
         auto snap = res.service->snapshot_at(e);
         ASSERT_TRUE(snap);
-        ClusterView view(snap);
-        EXPECT_EQ(view.at(taus[0])->flat_clustering(), labels[0]);
-        EXPECT_EQ(view.at(taus[1])->flat_clustering(), labels[1]);
+        EXPECT_EQ(ThresholdView(snap, taus[0]).flat_clustering(), labels[0]);
+        EXPECT_EQ(ThresholdView(snap, taus[1]).flat_clustering(), labels[1]);
       }
       res.service.reset();
       fs::remove_all(dir);
@@ -587,7 +591,6 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 1;
-  cfg.capture_edges = true;
   cfg.retain_epochs = 64;
   cfg.persist.dir = dir.string();
   cfg.persist.checkpoint_every = 5;
@@ -599,6 +602,7 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
   {
     SldService svc(cfg);
     SldService baseline(bcfg);
+    EdgeLedger ledger;
     par::Rng rng(20260808);
     uint64_t widx = 0;
     // Distinct weights (injective map modulo a prime): ties would make
@@ -611,7 +615,7 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
     std::vector<LiveEdge> live;
     auto ins = [&](vertex_id u, vertex_id v) {
       double w = next_weight();
-      live.push_back(LiveEdge{svc.insert(u, v, w), u, v});
+      live.push_back(LiveEdge{ledger.insert(svc, u, v, w), u, v});
       baseline.insert(u, v, w);
     };
     // Bulk load: a path over the whole shard plus random chords.
@@ -627,7 +631,7 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
       for (int i = 0; i < 12; ++i) {  // small cut, erase-dominated
         if (!live.empty() && rng.next_double() < 0.7) {
           size_t j = rng.next_bounded(live.size());
-          svc.erase(live[j].ticket);
+          ledger.erase(svc, live[j].ticket);
           baseline.erase(live[j].ticket);
           live[j] = live.back();
           live.pop_back();
@@ -646,7 +650,7 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
       ASSERT_EQ(pa.bytes(), pb.bytes()) << "round " << round;
       shard_bytes[e] = pa.bytes();
       for (double tau : {0.3, 0.7}) {
-        auto ref = reference_labels(n, snap->captured_edges(), tau);
+        auto ref = reference_labels(n, ledger.edges(), tau);
         expect_same_partition(ref, ThresholdView(snap, tau).flat_clustering());
       }
     }
@@ -787,17 +791,17 @@ TEST(FuzzEngine, DeepChainPatchesMatchFreshBuilds) {
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 1;
-  cfg.capture_edges = true;
   ServiceConfig bcfg = cfg;
   bcfg.incremental_snapshots = false;
   SldService svc(cfg), baseline(bcfg);
+  EdgeLedger ledger;
 
   // Path edge (v, v+1) weighs about (v+1)/n: Kruskal merges the path
   // left to right, one chain node per vertex.
   std::vector<ticket_t> path(n - 1);
   for (vertex_id v = 0; v + 1 < n; ++v) {
     const double w = (v + 1.0) / n;
-    path[v] = svc.insert(v, v + 1, w);
+    path[v] = ledger.insert(svc, v, v + 1, w);
     baseline.insert(v, v + 1, w);
   }
   ASSERT_EQ(svc.flush(), baseline.flush());
@@ -807,10 +811,10 @@ TEST(FuzzEngine, DeepChainPatchesMatchFreshBuilds) {
     // Re-weight two path edges: each moves one node along the chain.
     for (int i = 0; i < 2; ++i) {
       const vertex_id v = static_cast<vertex_id>(rng.next_bounded(n - 1));
-      svc.erase(path[v]);
+      ledger.erase(svc, path[v]);
       baseline.erase(path[v]);
       const double w = (v + 1.0 + 0.5 * (rng.next_double() - 0.5)) / n;
-      path[v] = svc.insert(v, v + 1, w);
+      path[v] = ledger.insert(svc, v, v + 1, w);
       baseline.insert(v, v + 1, w);
     }
     const uint64_t e = svc.flush();
@@ -821,7 +825,7 @@ TEST(FuzzEngine, DeepChainPatchesMatchFreshBuilds) {
     persist::SnapshotCodec::encode_shard(baseline.snapshot()->shard(0), pb);
     ASSERT_EQ(pa.bytes(), pb.bytes()) << "round " << round;
     for (double tau : {0.25, 0.75}) {
-      auto ref = reference_labels(n, snap->captured_edges(), tau);
+      auto ref = reference_labels(n, ledger.edges(), tau);
       expect_same_partition(ref, ThresholdView(snap, tau).flat_clustering());
     }
   }

@@ -130,9 +130,8 @@ std::string snapshot_bytes(const SldService& svc, uint64_t epoch) {
   w.u64(snap->epoch());
   for (int k = 0; k < 3; ++k)
     persist::SnapshotCodec::encode_shard(snap->shard(k), w);
-  engine::ClusterView view(snap);
   for (double tau : {0.15, 0.35, 0.55, 0.75, 0.95})
-    w.pod_vec(view.at(tau)->flat_clustering());
+    w.pod_vec(engine::ThresholdView(snap, tau).flat_clustering());
   return w.take();
 }
 

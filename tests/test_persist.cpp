@@ -152,10 +152,10 @@ struct EpochFingerprint {
 
 EpochFingerprint fingerprint(const EpochManager::Snap& snap, double tau) {
   EpochFingerprint fp;
-  ClusterView view(snap);
-  fp.labels = view.at(tau)->flat_clustering();
-  fp.hist = view.at(tau)->size_histogram();
-  fp.num_clusters = view.at(tau)->num_clusters();
+  ThresholdView view(snap, tau);
+  fp.labels = view.flat_clustering();
+  fp.hist = view.size_histogram();
+  fp.num_clusters = view.num_clusters();
   return fp;
 }
 
@@ -481,7 +481,6 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   ServiceConfig cfg;
   cfg.num_vertices = 40;
   cfg.num_shards = 4;
-  cfg.capture_edges = true;
   SldService svc(cfg);
   auto rng = test::test_rng();
   uint64_t widx = 0;
@@ -505,7 +504,6 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   EXPECT_EQ(decoded->epoch(), snap->epoch());
   EXPECT_EQ(decoded->num_tree_edges(), snap->num_tree_edges());
   EXPECT_EQ(decoded->cross().size(), snap->cross().size());
-  EXPECT_EQ(decoded->captured_edges().size(), snap->captured_edges().size());
   for (double tau : {0.2, 0.5, 0.9})
     EXPECT_EQ(ThresholdView(decoded, tau).flat_clustering(),
               ThresholdView(snap, tau).flat_clustering());
@@ -517,6 +515,61 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   // Malformed input degrades to null, never UB: truncate mid-stream.
   persist::ByteReader half(w.bytes().data(), w.bytes().size() / 2);
   EXPECT_EQ(persist::SnapshotCodec::decode(half, nullptr, nullptr), nullptr);
+}
+
+/// The snapshot section ends in a retired edge section, now always
+/// written empty. Sections whose edge section carries entries (20 B
+/// each: u32 u, u32 v, f64 w, u32 id) still decode: the entries are
+/// skipped, the snapshot answers as it did, and re-encoding writes the
+/// section empty again. A count the remaining bytes cannot hold is
+/// refused.
+TEST(Checkpoint, SnapshotCodecSkipsEdgeSectionEntries) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 4;
+  SldService svc(cfg);
+  auto rng = test::test_rng();
+  for (uint64_t i = 0; i < 30; ++i) {
+    auto [u, v] = test::random_distinct_pair(rng, 40);
+    svc.insert(u, v, unique_weight(i));
+  }
+  svc.flush();
+  auto snap = svc.snapshot();
+  persist::ByteWriter w;
+  persist::SnapshotCodec::encode(*snap, w);
+  const std::string& bytes = w.bytes();
+  // The edge section is the encoding's last field: a u64 count of 0.
+  ASSERT_GE(bytes.size(), 8u);
+  ASSERT_EQ(bytes.substr(bytes.size() - 8), std::string(8, '\0'));
+
+  persist::ByteWriter section;
+  section.u64(3);
+  for (uint32_t i = 0; i < 3; ++i) {
+    section.u32(i);
+    section.u32(i + 1);
+    section.f64(0.25 * i);
+    section.u32(i);
+  }
+  const std::string with_edges =
+      bytes.substr(0, bytes.size() - 8) + section.bytes();
+  ASSERT_EQ(with_edges.size(), bytes.size() + 3 * 20);
+
+  persist::ByteReader r(with_edges);
+  auto decoded = persist::SnapshotCodec::decode(r, nullptr, nullptr);
+  ASSERT_TRUE(decoded);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(decoded->epoch(), snap->epoch());
+  for (double tau : {0.2, 0.5, 0.9})
+    EXPECT_EQ(ThresholdView(decoded, tau).flat_clustering(),
+              ThresholdView(snap, tau).flat_clustering());
+  persist::ByteWriter w2;
+  persist::SnapshotCodec::encode(*decoded, w2);
+  EXPECT_EQ(w2.bytes(), bytes);
+
+  const std::string short_section = with_edges.substr(0, with_edges.size() - 1);
+  persist::ByteReader bad(short_section);
+  EXPECT_EQ(persist::SnapshotCodec::decode(bad, nullptr, nullptr), nullptr);
 }
 
 // ---- service wiring ---------------------------------------------------

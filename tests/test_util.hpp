@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <set>
@@ -61,7 +62,7 @@ inline std::pair<vertex_id, vertex_id> random_block_pair(par::Rng& rng,
 }
 
 /// Reference partition at threshold tau from the Kruskal-built SLD of
-/// `edges`: label[v] = component representative. The captured edge set
+/// `edges`: label[v] = component representative. The live edge set
 /// is a graph (it includes cycle-closing edges), while build_kruskal
 /// takes a forest, so first reduce to the MSF under (weight, id) order
 /// — dropping a cycle edge never changes threshold components, because
@@ -94,6 +95,65 @@ inline std::vector<vertex_id> reference_labels(
   for (vertex_id v = 0; v < n; ++v) label[v] = uf.find(v);
   return label;
 }
+
+/// The live edge set as a test drives it, fed to reference_labels:
+/// ticket -> (u, v, w), applied on insert and erase. It mirrors the
+/// service's bookkeeping: an erase of an unknown or already-erased
+/// ticket changes nothing, and an erase by endpoints drops the same
+/// ticket the mutation queue's endpoint ledger drops — the most recent
+/// live copy of (u, v), either orientation.
+class EdgeLedger {
+ public:
+  void insert(uint64_t ticket, vertex_id u, vertex_id v, double w) {
+    live_[ticket] = WeightedEdge{u, v, w, kNoEdge};
+  }
+  void erase(uint64_t ticket) { live_.erase(ticket); }
+  /// False when no live (u, v) edge is recorded.
+  bool erase(vertex_id u, vertex_id v) {
+    for (auto it = live_.rbegin(); it != live_.rend(); ++it) {
+      const WeightedEdge& e = it->second;
+      if ((e.u == u && e.v == v) || (e.u == v && e.v == u)) {
+        live_.erase(std::next(it).base());
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// The same operations routed through `svc` (an SldService) and
+  /// recorded here; returns what the service returns.
+  template <class Service>
+  uint64_t insert(Service& svc, vertex_id u, vertex_id v, double w) {
+    uint64_t t = svc.insert(u, v, w);
+    insert(t, u, v, w);
+    return t;
+  }
+  template <class Service>
+  void erase(Service& svc, uint64_t ticket) {
+    svc.erase(ticket);
+    erase(ticket);
+  }
+  template <class Service>
+  bool erase(Service& svc, vertex_id u, vertex_id v) {
+    bool erased = svc.erase(u, v);
+    EXPECT_EQ(erase(u, v), erased) << "ledger out of step at (" << u << ", "
+                                   << v << ")";
+    return erased;
+  }
+
+  /// The live edges in ticket order; ids are dense positions.
+  std::vector<WeightedEdge> edges() const {
+    std::vector<WeightedEdge> out;
+    out.reserve(live_.size());
+    for (const auto& [t, e] : live_)
+      out.push_back(WeightedEdge{e.u, e.v, e.weight,
+                                 static_cast<edge_id>(out.size())});
+    return out;
+  }
+
+ private:
+  std::map<uint64_t, WeightedEdge> live_;
+};
 
 /// Same partition? (Labels themselves may differ.)
 inline void expect_same_partition(const std::vector<vertex_id>& a,
